@@ -1,0 +1,76 @@
+"""Relabelling invariance: no result may depend on the global vertex numbering.
+
+Relabelling the vertices flips edge directions and face frames, so it runs
+every orientation transform and every element map through a different code
+path while the discrete problem stays the same up to a signed permutation of
+the dofs.  The oracle is the native numbering itself, independent of how the
+geometry and orientation code is written.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from edgefem.analysis import consistency_error, hcurl_error, interpolate
+from edgefem.assembly import QuadratureConfig, assemble
+from edgefem.mesh import TetMesh, structured_cube_mesh
+from edgefem.problems import catalog
+from edgefem.quadrature import builtin_rule
+from edgefem.solver import solve_dense
+
+BASE = structured_cube_mesh(2)
+RULES = {
+    1: QuadratureConfig(builtin_rule("pt1_offcenter"), builtin_rule("pt1_centroid"),
+                        builtin_rule("pt1_centroid")),
+    2: QuadratureConfig(builtin_rule("pt5"), builtin_rule("pt5"), builtin_rule("pt15")),
+}
+
+
+def relabelled(mesh, perm):
+    """The same mesh with vertex i renamed perm[i]."""
+    perm = np.asarray(perm)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    return TetMesh(vertices, perm[mesh.tets])
+
+
+def cubic_field(c):
+    """A fixed cubic vector field.  Every moment that interpolates it is
+    integrated exactly, so its interpolant is the same function under any
+    numbering (the smooth probe fields are not: the face moments integrate
+    them with a rule that is not symmetric under vertex reordering)."""
+    def field(pts):
+        x, y, z = np.atleast_2d(pts).T
+        return np.column_stack([c + x * x * y - z, y * z * z - c * x, x * y * z + z ** 3 + c])
+    return field
+
+
+def measures(mesh, order):
+    entry = catalog("cube_oscillatory(1)")
+    system = assemble(mesh, order, entry.coefficients, RULES[order])
+    field = solve_dense(system)
+    rec = hcurl_error(field, (entry.exact, entry.exact_curl), 2 * order + 6)
+    U = interpolate(mesh, order, cubic_field(0.3))
+    V = interpolate(mesh, order, cubic_field(-0.7))
+    gaps = consistency_error(mesh, order, entry.coefficients, RULES[order], U, V)
+    eigs = np.linalg.eigvalsh(system.matrix.toarray()) if order == 1 else None
+    return np.array([rec.l2_error, rec.curl_error, *gaps]), eigs
+
+
+@lru_cache(maxsize=None)
+def native(order):
+    return measures(BASE, order)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@settings(max_examples=6, deadline=None)
+@given(perm=st.permutations(range(BASE.n_vertices)))
+def test_relabelling_invariance(order, perm):
+    values0, eigs0 = native(order)
+    values, eigs = measures(relabelled(BASE, perm), order)
+    assert np.all(values0 > 0.0)
+    assert np.all(np.abs(values - values0) <= 1e-10 * np.abs(values0))
+    if order == 1:
+        assert np.abs(eigs - eigs0).max() <= 1e-12 * np.abs(eigs0).max()
