@@ -12,27 +12,16 @@ straight and curved elements.
 
 from .quadrature import (
     RefQuadratureRule,
-    MappedQuadrature,
     builtin_rule,
     rule_for_degree,
     tensorized_gl,
     conical_rule,
     integrate_ref,
     verify_exactness,
-    map_affine,
-    map_curved,
 )
-from .reference_element import (
-    CurlBasis,
-    OrientationKey,
-    curl_basis,
-    eval_basis,
-    eval_curl_basis,
-    orientation_key,
-    piola_push,
-)
-from .mesh import TetMesh, AffineMap, CurvedMap, structured_cube_mesh, read_gmsh, write_gmsh, element_map, curved_map, mesh_metrics
-from .assembly import Coefficients, QuadratureConfig, SparseSystem, SolutionField, element_matrices, assemble, evaluate_forms
+from .reference_element import CurlBasis, OrientationKey, curl_basis, orientation_key
+from .mesh import TetMesh, CurvedMap, QuadGeometry, structured_cube_mesh, read_gmsh, write_gmsh, curved_map, mesh_metrics
+from .assembly import Coefficients, QuadratureConfig, SparseSystem, SolutionField, assemble, evaluate_forms
 from .solver import SolveReport, SolverBreakdown, solve, solve_dense
 from .analysis import ErrorRecord, RateFit, hcurl_error, fit_rate, consistency_error, curved_local_error
 from .problems import ProblemCatalogEntry, catalog

@@ -18,12 +18,13 @@ from .assembly import (
     Coefficients,
     QuadratureConfig,
     SolutionField,
+    _chunks,
     _dof_layout,
     evaluate_forms,
     reference_config,
 )
-from .mesh import CurvedMap, TetMesh, all_affine_data, curved_map
-from .quadrature import RefQuadratureRule, map_curved, rule_for_degree, tensorized_gl
+from .mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data, curved_map
+from .quadrature import RefQuadratureRule, _gl01, rule_for_degree, tensorized_gl
 from .reference_element import curl_basis
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "fit_rate",
     "records_to_csv",
     "discrete_hcurl_norm",
-    "random_field",
     "interpolate",
     "smooth_random_field",
     "probe_field",
@@ -107,22 +107,17 @@ def records_to_csv(records) -> str:
 
 
 def _error_integrals(sol: SolutionField, exact, exact_curl, rule: RefQuadratureRule):
-    mesh = sol.mesh
-    jac, origin, det, inv = all_affine_data(mesh)
-    weights = np.abs(det)[:, None] * rule.weights[None, :]
+    affine = all_affine_data(sol.mesh)
     l2_sq = 0.0
     curl_sq = 0.0
-    step = max(1, 2_000_000 // (rule.npoints * 4))
-    for lo in range(0, mesh.n_tets, step):
-        hi = min(lo + step, mesh.n_tets)
-        idx = np.arange(lo, hi)
-        vh, ch = sol.eval_elements(rule.points, idx)
-        pts = origin[idx][:, None, :] + np.einsum("epc,lc->elp", jac[idx], rule.points)
-        flat = pts.reshape(-1, 3)
-        ve = np.asarray(exact(flat), dtype=complex).reshape(hi - lo, rule.npoints, 3)
-        ce = np.asarray(exact_curl(flat), dtype=complex).reshape(hi - lo, rule.npoints, 3)
-        l2_sq += float(np.sum(weights[idx] * np.sum(np.abs(vh - ve) ** 2, axis=2)))
-        curl_sq += float(np.sum(weights[idx] * np.sum(np.abs(ch - ce) ** 2, axis=2)))
+    for lo, hi in _chunks(sol.mesh.n_tets, 6 * rule.npoints):
+        geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in affine))
+        vh, ch = sol.eval_elements(geo, slice(lo, hi))
+        flat = geo.points.reshape(-1, 3)
+        ve = np.asarray(exact(flat), dtype=complex).reshape(vh.shape)
+        ce = np.asarray(exact_curl(flat), dtype=complex).reshape(ch.shape)
+        l2_sq += float(np.sum(geo.weights * np.sum(np.abs(vh - ve) ** 2, axis=2)))
+        curl_sq += float(np.sum(geo.weights * np.sum(np.abs(ch - ce) ** 2, axis=2)))
     return l2_sq, curl_sq
 
 
@@ -155,22 +150,9 @@ def discrete_hcurl_norm(mesh: TetMesh, order: int, dofs: np.ndarray) -> float:
 def _field(mesh: TetMesh, order: int, dofs: np.ndarray) -> SolutionField:
     from .assembly import _orientation_transforms
 
-    _, gdof, _, _ = _dof_layout(mesh, order)
+    _, gdof, _ = _dof_layout(mesh, order)
     X = _orientation_transforms(mesh, curl_basis(order))
     return SolutionField(mesh=mesh, order=order, dofs=np.asarray(dofs, complex), gdof=gdof, orientations=X)
-
-
-def random_field(mesh: TetMesh, order: int, seed: int, normalize: bool = True,
-                 interior_only: bool = True) -> np.ndarray:
-    """Seeded random dof vector, optionally PEC-zeroed and H(curl)-normalized."""
-    n_dofs, _, constrained, _ = _dof_layout(mesh, order)
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(n_dofs).astype(complex)
-    if interior_only:
-        u[constrained] = 0.0
-    if normalize:
-        u /= discrete_hcurl_norm(mesh, order, u)
-    return u
 
 
 def interpolate(mesh: TetMesh, order: int, field) -> np.ndarray:
@@ -179,13 +161,10 @@ def interpolate(mesh: TetMesh, order: int, field) -> np.ndarray:
     Evaluates the same edge/face functionals that define the global dofs, so
     a field already in the discrete space is reproduced exactly.
     """
-    from scipy.special import roots_legendre
-
-    n_dofs, _, _, _ = _dof_layout(mesh, order)
+    n_dofs, _, _ = _dof_layout(mesh, order)
     out = np.zeros(n_dofs, dtype=complex)
 
-    x, w = roots_legendre(8)
-    s, w = (x + 1.0) / 2.0, w / 2.0
+    s, w = _gl01(8)
     a = mesh.vertices[mesh.edges[:, 0]]
     d = mesh.vertices[mesh.edges[:, 1]] - a
     pts = a[:, None, :] + s[None, :, None] * d[:, None, :]
@@ -230,7 +209,7 @@ def smooth_random_field(seed: int, n_modes: int = 4):
 
 def probe_field(mesh: TetMesh, order: int, seed: int) -> np.ndarray:
     """Interpolated fixed random smooth field, PEC-zeroed, H(curl)-normalized."""
-    _, _, constrained, _ = _dof_layout(mesh, order)
+    _, _, constrained = _dof_layout(mesh, order)
     u = interpolate(mesh, order, smooth_random_field(seed))
     u[constrained] = 0.0
     return u / discrete_hcurl_norm(mesh, order, u)
@@ -307,33 +286,23 @@ def curved_local_error(cmap: CurvedMap, coeff, rule: RefQuadratureRule, order: i
     if ref_rule is None:
         ref_rule = tensorized_gl(10)
 
+    if mode not in ("mass", "curlcurl", "load"):
+        raise ValueError("mode must be 'mass', 'curlcurl' or 'load'")
+
     def term(rule_):
-        mq = map_curved(rule_, cmap)                      # weights carry det J
-        ref_pts = rule_.points
-        J = cmap.jacobian(ref_pts)
-        det = cmap.det_at(ref_pts)
-        if mode == "mass":
-            vals = basis.eval_many(ref_pts)
-            Jinv = np.linalg.inv(J)
-            u = np.einsum("m,lmc,lcp->lp", u_ref, vals, Jinv)
-            v = np.einsum("m,lmc,lcp->lp", v_ref, vals, Jinv)
-            mat = np.asarray(coeff(mq.points))
-            g = np.einsum("lpq,lq,lp->l", mat, u, v.conj())
-        elif mode == "curlcurl":
-            curls = basis.curl_many(ref_pts)
-            u = np.einsum("m,lmc,lpc->lp", u_ref, curls, J) / det[:, None]
-            v = np.einsum("m,lmc,lpc->lp", v_ref, curls, J) / det[:, None]
-            mat = np.asarray(coeff(mq.points))
-            g = np.einsum("lpq,lq,lp->l", mat, u, v.conj())
-        elif mode == "load":
-            vals = basis.eval_many(ref_pts)
-            Jinv = np.linalg.inv(J)
-            v = np.einsum("m,lmc,lcp->lp", v_ref, vals, Jinv)
-            cur = np.asarray(coeff(mq.points))
-            g = np.einsum("lp,lp->l", cur, v.conj())
+        geo = QuadGeometry.curved(rule_, cmap)
+        if mode == "curlcurl":
+            table, push = basis.curl_many(rule_.points), geo.contravariant
         else:
-            raise ValueError("mode must be 'mass', 'curlcurl' or 'load'")
-        return complex(np.dot(mq.weights, g))
+            table, push = basis.eval_many(rule_.points), geo.covariant
+        v = push(np.einsum("m,lmc->lc", v_ref, table)[None])[0]
+        coef = np.asarray(coeff(geo.points[0]))
+        if mode == "load":
+            g = np.einsum("lp,lp->l", coef, v.conj())
+        else:
+            u = push(np.einsum("m,lmc->lc", u_ref, table)[None])[0]
+            g = np.einsum("lpq,lq,lp->l", coef, u, v.conj())
+        return complex(np.dot(geo.weights[0], g))
 
     return abs(term(ref_rule) - term(rule))
 

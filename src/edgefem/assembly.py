@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import TetMesh, all_affine_data
+from .mesh import QuadGeometry, TetMesh, all_affine_data
 from .quadrature import RefQuadratureRule, rule_for_degree
 from .reference_element import CurlBasis, curl_basis, dof_transform, orientation_key
 
@@ -32,7 +32,6 @@ __all__ = [
     "QuadratureConfig",
     "SparseSystem",
     "SolutionField",
-    "element_matrices",
     "assemble",
     "evaluate_forms",
     "reference_config",
@@ -138,7 +137,6 @@ def _dof_layout(mesh: TetMesh, order: int):
         gdof = mesh.tet2edge.copy()
         constrained = np.zeros(n_dofs, dtype=bool)
         constrained[mesh.boundary_edges] = True
-        entities = [("edge", int(e), 0) for e in range(mesh.n_edges)]
     elif order == 2:
         ne = mesh.n_edges
         n_dofs = 2 * ne + 2 * mesh.n_faces
@@ -150,11 +148,9 @@ def _dof_layout(mesh: TetMesh, order: int):
             constrained[2 * e] = constrained[2 * e + 1] = True
         for f in mesh.boundary_faces:
             constrained[2 * ne + 2 * f] = constrained[2 * ne + 2 * f + 1] = True
-        entities = [("edge", e, m) for e in range(ne) for m in (0, 1)]
-        entities += [("face", f, m) for f in range(mesh.n_faces) for m in (0, 1)]
     else:
         raise ValueError("order must be 1 or 2")
-    return n_dofs, gdof, constrained, entities
+    return n_dofs, gdof, constrained
 
 
 def _orientation_transforms(mesh: TetMesh, basis: CurlBasis) -> np.ndarray:
@@ -170,13 +166,11 @@ class SparseSystem:
 
     ``matrix``/``rhs`` are the reduced (free-dof) objects; ``full_matrix`` and
     ``full_rhs`` keep the unconstrained scatter for cross-checks and form
-    evaluation.  ``dof_map[g]`` names global dof g as (entity kind, index,
-    moment).
+    evaluation.
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    dof_map: list
     constrained: np.ndarray
     n_free: int
     full_matrix: sp.csr_matrix
@@ -209,84 +203,18 @@ class SolutionField:
         # local coefficients of the physical per-element expansion
         self.local = np.einsum("emd,ed->em", self.orientations, self.dofs[self.gdof])
 
-    def eval_in_element(self, tet_index: int, ref_points):
-        """(values, curls) of the field at reference points of one element."""
-        ref_points = np.atleast_2d(ref_points)
-        jac, origin, det, inv = _tet_affine(self.mesh, tet_index)
-        vals = self.basis.eval_many(ref_points)
-        curls = self.basis.curl_many(ref_points)
-        w = self.local[tet_index]
-        v = np.einsum("nmc,m->nc", vals, w) @ inv
-        c = (np.einsum("nmc,m->nc", curls, w) @ jac.T) / det
-        return v, c
+    def eval_elements(self, geo: QuadGeometry, tet_indices):
+        """(values, curls) at the points of ``geo``, as (E, L, 3) arrays.
 
-    def eval_elements(self, ref_points, tet_indices=None):
-        """Vectorized (values, curls) over many elements: (E, L, 3) arrays."""
-        ref_points = np.atleast_2d(ref_points)
-        mesh = self.mesh
-        idx = np.arange(mesh.n_tets) if tet_indices is None else np.asarray(tet_indices)
-        jac, origin, det, inv = all_affine_data(mesh)
-        jac, det, inv = jac[idx], det[idx], inv[idx]
-        vals = self.basis.eval_many(ref_points)       # (L, nd, 3)
-        curls = self.basis.curl_many(ref_points)
-        w = self.local[idx]                           # (E, nd)
-        v = np.einsum("lmc,em->elc", vals, w)
-        c = np.einsum("lmc,em->elc", curls, w)
-        v = np.einsum("elc,ecp->elp", v, inv)
-        c = np.einsum("elc,epc->elp", c, jac) / det[:, None, None]
-        return v, c
+        ``geo`` maps its rule to the elements ``tet_indices`` (indices or a slice).
+        """
+        w = self.local[tet_indices]                   # (E, nd)
+        v = np.einsum("lmc,em->elc", self.basis.eval_many(geo.rule.points), w)
+        c = np.einsum("lmc,em->elc", self.basis.curl_many(geo.rule.points), w)
+        return geo.covariant(v), geo.contravariant(c)
 
 
-def _tet_affine(mesh, e):
-    v = mesh.vertices[mesh.tets[e]]
-    jac = (v[1:] - v[0]).T
-    return jac, v[0], float(np.linalg.det(jac)), np.linalg.inv(jac)
-
-
-# -- element matrices ------------------------------------------------------------
-
-def element_matrices(emap, basis: CurlBasis, coeffs: Coefficients, config: QuadratureConfig, key=None):
-    """Curl-curl block, mass block and load vector of one affine element.
-
-    With ``key`` given, the orientation transform is applied so the blocks
-    refer to the globally oriented dofs.
-    """
-    if emap.kind != "affine":
-        raise ValueError("element_matrices expects an affine map")
-    det = emap.det
-    jac, inv = emap.jac, emap.inv
-
-    def mapped(rule):
-        return emap.apply(rule.points)
-
-    # curl-curl
-    r1 = config.q1
-    chat = basis.curl_many(r1.points)                     # (L, nd, 3)
-    c_phys = np.einsum("lnc,pc->lnp", chat, jac) / det
-    mu = coeffs.mu_inv(mapped(r1))                        # (L, 3, 3)
-    A = np.einsum("l,lip,lpq,ljq->ij", abs(det) * r1.weights, c_phys, mu, c_phys)
-
-    # mass (includes the -omega^2 factor)
-    r2 = config.q2
-    vhat = basis.eval_many(r2.points)
-    v_phys = np.einsum("lnc,cp->lnp", vhat, inv)
-    eps = coeffs.eps(mapped(r2))
-    M = -coeffs.omega ** 2 * np.einsum("l,lip,lpq,ljq->ij", abs(det) * r2.weights, v_phys, eps, v_phys)
-
-    # load
-    r3 = config.q3
-    vhat3 = basis.eval_many(r3.points)
-    v3 = np.einsum("lnc,cp->lnp", vhat3, inv)
-    J = coeffs.current(mapped(r3))
-    f = -1j * coeffs.omega * np.einsum("l,lp,lip->i", abs(det) * r3.weights, J, v3)
-
-    if key is not None:
-        X = dof_transform(key, basis)
-        A = X.T @ A @ X
-        M = X.T @ M @ X
-        f = X.T @ f
-    return A, M, f
-
+# -- element blocks and forms -------------------------------------------------
 
 def _chunks(n_items, per_item_cost):
     step = max(1, _CHUNK_BUDGET // max(per_item_cost, 1))
@@ -301,36 +229,27 @@ def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, om
     """
     L, nd = rule.npoints, basis.n_dofs
     nt = mesh.n_tets
-    if kind == "curl":
-        table = basis.curl_many(rule.points)
-    else:
-        table = basis.eval_many(rule.points)
+    table = (basis.curl_many(rule.points) if kind == "curl" else basis.eval_many(rule.points))[None]
 
     out = np.zeros((nt, nd, nd), dtype=complex) if kind != "load" else np.zeros((nt, nd), dtype=complex)
     for lo, hi in _chunks(nt, L * nd * 3):
-        j, o, d, iv = jac[lo:hi], origin[lo:hi], det[lo:hi], inv[lo:hi]
-        pts = o[:, None, :] + np.einsum("epc,lc->elp", j, rule.points)
-        flat = pts.reshape(-1, 3)
-        w = np.abs(d)[:, None] * rule.weights[None, :]
-        if kind == "curl":
-            phys = np.einsum("lnc,epc->elnp", table, j) / d[:, None, None, None]
-            mat = coeff_field(flat).reshape(hi - lo, L, 3, 3)
-            out[lo:hi] = np.einsum("el,elip,elpq,eljq->eij", w, phys, mat, phys)
-        elif kind == "mass":
-            phys = np.einsum("lnc,ecp->elnp", table, iv)
-            mat = coeff_field(flat).reshape(hi - lo, L, 3, 3)
-            out[lo:hi] = -omega ** 2 * np.einsum("el,elip,elpq,eljq->eij", w, phys, mat, phys)
+        geo = QuadGeometry.affine(rule, jac[lo:hi], origin[lo:hi], det[lo:hi], inv[lo:hi])
+        phys = geo.contravariant(table) if kind == "curl" else geo.covariant(table)
+        coeff = coeff_field(geo.points.reshape(-1, 3))
+        if kind == "load":
+            cur = coeff.reshape(hi - lo, L, 3)
+            out[lo:hi] = -1j * omega * np.einsum("el,elp,elip->ei", geo.weights, cur, phys)
         else:
-            phys = np.einsum("lnc,ecp->elnp", table, iv)
-            cur = coeff_field(flat).reshape(hi - lo, L, 3)
-            out[lo:hi] = -1j * omega * np.einsum("el,elp,elip->ei", w, cur, phys)
+            mat = coeff.reshape(hi - lo, L, 3, 3)
+            block = np.einsum("el,elip,elpq,eljq->eij", geo.weights, phys, mat, phys)
+            out[lo:hi] = block if kind == "curl" else -omega ** 2 * block
     return out
 
 
 def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: QuadratureConfig) -> SparseSystem:
     """Assemble the numeric forms into a PEC-constrained sparse system."""
     basis = curl_basis(order)
-    n_dofs, gdof, constrained, entities = _dof_layout(mesh, order)
+    n_dofs, gdof, constrained = _dof_layout(mesh, order)
     jac, origin, det, inv = all_affine_data(mesh)
     if np.any(det <= 0):
         raise ValueError("mesh must be positively oriented")
@@ -356,7 +275,6 @@ def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quadrature
     return SparseSystem(
         matrix=reduced,
         rhs=full_rhs[free],
-        dof_map=entities,
         constrained=constrained,
         n_free=len(free),
         full_matrix=full,
@@ -377,11 +295,11 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
     :func:`reference_config` gives the high-degree 'exact' reference values.
     """
     basis = curl_basis(order)
-    n_dofs, gdof, _, _ = _dof_layout(mesh, order)
+    n_dofs, gdof, _ = _dof_layout(mesh, order)
     if len(U_dofs) != n_dofs or len(V_dofs) != n_dofs:
         raise ValueError(f"dof vectors must have the full length {n_dofs}")
-    jac, origin, det, inv = all_affine_data(mesh)
-    X = _orientation_transforms(mesh, curl_basis(order))
+    affine = all_affine_data(mesh)
+    X = _orientation_transforms(mesh, basis)
     u_loc = np.einsum("emd,ed->em", X, np.asarray(U_dofs, dtype=complex)[gdof])
     v_loc = np.einsum("emd,ed->em", X, np.asarray(V_dofs, dtype=complex)[gdof])
 
@@ -393,28 +311,18 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
         L = rule.npoints
         table = basis.curl_many(rule.points) if kind == "curl" else basis.eval_many(rule.points)
         for lo, hi in _chunks(nt, L * 4):
-            j, o, d, iv = jac[lo:hi], origin[lo:hi], det[lo:hi], inv[lo:hi]
-            pts = (o[:, None, :] + np.einsum("epc,lc->elp", j, rule.points)).reshape(-1, 3)
-            w = np.abs(d)[:, None] * rule.weights[None, :]
-            if kind == "curl":
-                uc = np.einsum("lnc,en->elc", table, u_loc[lo:hi])
-                vc = np.einsum("lnc,en->elc", table, v_loc[lo:hi])
-                u = np.einsum("elc,epc->elp", uc, j) / d[:, None, None]
-                v = np.einsum("elc,epc->elp", vc, j) / d[:, None, None]
-                mu = coeffs.mu_inv(pts).reshape(hi - lo, L, 3, 3)
-                phi += np.einsum("el,elpq,elq,elp->", w, mu, u, v.conj())
-            elif kind == "mass":
-                uv = np.einsum("lnc,en->elc", table, u_loc[lo:hi])
-                vv = np.einsum("lnc,en->elc", table, v_loc[lo:hi])
-                u = np.einsum("elc,ecp->elp", uv, iv)
-                v = np.einsum("elc,ecp->elp", vv, iv)
-                eps = coeffs.eps(pts).reshape(hi - lo, L, 3, 3)
-                phi += -coeffs.omega ** 2 * np.einsum("el,elpq,elq,elp->", w, eps, u, v.conj())
-            else:
-                vv = np.einsum("lnc,en->elc", table, v_loc[lo:hi])
-                v = np.einsum("elc,ecp->elp", vv, iv)
+            geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in affine))
+            push = geo.contravariant if kind == "curl" else geo.covariant
+            pts = geo.points.reshape(-1, 3)
+            v = push(np.einsum("lnc,en->elc", table, v_loc[lo:hi]))
+            if kind == "load":
                 cur = coeffs.current(pts).reshape(hi - lo, L, 3)
-                load += -1j * coeffs.omega * np.einsum("el,elp,elp->", w, cur, v.conj())
+                load += -1j * coeffs.omega * np.einsum("el,elp,elp->", geo.weights, cur, v.conj())
+                continue
+            u = push(np.einsum("lnc,en->elc", table, u_loc[lo:hi]))
+            field, scale = (coeffs.mu_inv, 1.0) if kind == "curl" else (coeffs.eps, -coeffs.omega ** 2)
+            mat = field(pts).reshape(hi - lo, L, 3, 3)
+            phi += scale * np.einsum("el,elpq,elq,elp->", geo.weights, mat, u, v.conj())
     return complex(phi), complex(load)
 
 

@@ -44,6 +44,19 @@ DEFAULT_MESH_NS = {1: [2, 4, 6, 8, 12, 16, 24], 2: [2, 4, 6, 8, 12]}
 
 _CONFIG_KEYS = {"problem", "order", "mesh_ns", "q1", "q2", "q3", "solver_tol", "label",
                 "fit_window", "expect_slope", "slope_tol", "expect_exit_index"}
+_PROBE_KEYS = {
+    "consistency": {"expect_min_slope", "label", "order", "m", "mesh_ns", "problem",
+                    "q1", "q2", "q3", "seed"},
+    "curved": {"expect_min_slope", "label", "mode", "order", "m", "below"},
+}
+
+
+def _check_keys(data: dict, allowed) -> dict:
+    """Return ``data`` unchanged; raise ValueError naming every key not in ``allowed``."""
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return data
 
 
 @dataclass
@@ -74,11 +87,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        data = json.loads(Path(path).read_text())
-        unknown = set(data) - _CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**_check_keys(json.loads(Path(path).read_text()), _CONFIG_KEYS))
 
     def rules(self) -> QuadratureConfig:
         return QuadratureConfig(resolve_rule(self.q1), resolve_rule(self.q2), resolve_rule(self.q3))
@@ -115,8 +124,8 @@ def _emit_records(records, config, out_dir, extra_lines):
     _write(out_dir, f"{config.label}_summary.txt", "\n".join(extra_lines) + "\n")
 
 
-def run_convergence(config: ExperimentConfig, out_dir):
-    """Mesh sweep: assemble, solve, measure the H(curl) error, fit the rate."""
+def _sweep(config: ExperimentConfig, out_dir):
+    """Mesh sweep: assemble, solve and measure the H(curl) error on every mesh."""
     entry = catalog(config.problem)
     rules = config.rules()
     records = []
@@ -131,10 +140,18 @@ def run_convergence(config: ExperimentConfig, out_dir):
             raise RuntimeError(f"solver did not converge at n={n}")
         records.append(hcurl_error(fld, (entry.exact, entry.exact_curl), 2 * config.order + 6,
                                    n=n, dofs=system.n_free, iterations=report.iterations))
-    fit = fit_rate(records, "dofs", window=config.fit_window)
-    lines = [
+    header = [
         f"problem {config.problem} order {config.order}",
         f"rules q1={rules.q1.label} q2={rules.q2.label} q3={rules.q3.label}",
+    ]
+    return records, header
+
+
+def run_convergence(config: ExperimentConfig, out_dir):
+    """Mesh sweep with the fitted convergence rate against the dof count."""
+    records, lines = _sweep(config, out_dir)
+    fit = fit_rate(records, "dofs", window=config.fit_window)
+    lines += [
         f"fitted slope vs dofs (last {min(config.fit_window, len(records))}): {fit.slope:.17g}",
         f"fit residual: {fit.residual:.17g}",
     ]
@@ -151,24 +168,10 @@ def plateau_exit_index(errors) -> int | None:
 
 
 def run_preasymptotic(config: ExperimentConfig, out_dir):
-    """Convergence sweep plus the plateau-exit report for oscillatory problems."""
-    entry = catalog(config.problem)
-    rules = config.rules()
-    records = []
-    for n in config.mesh_ns:
-        mesh = structured_cube_mesh(n)
-        system = assemble(mesh, config.order, entry.coefficients, rules)
-        fld, report = solve(system, tol=config.solver_tol)
-        if fld is None:
-            _emit_records(records, config, out_dir, [f"ABORTED at n={n}"])
-            raise RuntimeError(f"solver did not converge at n={n}")
-        records.append(hcurl_error(fld, (entry.exact, entry.exact_curl), 2 * config.order + 6,
-                                   n=n, dofs=system.n_free, iterations=report.iterations))
-    errs = [r.hcurl_error for r in records]
-    exit_idx = plateau_exit_index(errs)
-    lines = [
-        f"problem {config.problem} order {config.order}",
-        f"rules q1={rules.q1.label} q2={rules.q2.label} q3={rules.q3.label}",
+    """Mesh sweep with the plateau-exit report for oscillatory problems."""
+    records, lines = _sweep(config, out_dir)
+    exit_idx = plateau_exit_index([r.hcurl_error for r in records])
+    lines += [
         f"plateau exit index: {exit_idx if exit_idx is not None else 'none'}",
         f"plateau exit dofs: {records[exit_idx].dofs if exit_idx is not None else 'none'}",
     ]
@@ -211,6 +214,16 @@ def run_probe(kind: str, params: dict, out_dir):
                f"mode {mode} order {order} m {m} rule degree {degree}\nslope: {fit.slope:.17g}\n")
         return rows, fit
     raise ValueError("probe kind must be 'consistency' or 'curved'")
+
+
+def _load_probe(path):
+    """(kind, expect_min_slope, params) of a probe config; unknown keys are rejected."""
+    params = json.loads(Path(path).read_text())
+    kind = params.pop("kind", "consistency")
+    if kind not in _PROBE_KEYS:
+        raise ValueError(f"unknown probe kind {kind!r}")
+    _check_keys(params, _PROBE_KEYS[kind])
+    return kind, params.pop("expect_min_slope", None), params
 
 
 def _parse_rule_dump(text: str):
@@ -301,21 +314,20 @@ def main(argv=None) -> int:
     if args.config is None:
         print("--config is required for this command", file=sys.stderr)
         return 1
-    raw = json.loads(Path(args.config).read_text())
+    try:
+        if args.command == "probe":
+            kind, expect, params = _load_probe(args.config)
+        else:
+            config = ExperimentConfig.from_json(args.config)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
     if args.command == "probe":
-        kind = raw.pop("kind", "consistency")
-        expect = raw.pop("expect_min_slope", None)
-        _, fit = run_probe(kind, raw, args.out)
+        _, fit = run_probe(kind, params, args.out)
         if args.check and expect is not None and fit.slope < expect:
             return 2
         return 0
-
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        print(f"unknown config keys: {sorted(unknown)}", file=sys.stderr)
-        return 1
-    config = ExperimentConfig(**raw)
 
     if args.command == "convergence":
         _, fit = run_convergence(config, args.out)

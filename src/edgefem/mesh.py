@@ -8,44 +8,25 @@ face frames) are derived from global vertex ids, never from local order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
 import numpy as np
 
+from .quadrature import RefQuadratureRule
 from .reference_element import LOCAL_EDGES, LOCAL_FACES
 
 __all__ = [
     "TetMesh",
-    "AffineMap",
     "CurvedMap",
+    "QuadGeometry",
     "structured_cube_mesh",
     "read_gmsh",
     "write_gmsh",
-    "element_map",
     "curved_map",
     "mesh_metrics",
 ]
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """T(x) = origin + J x with constant Jacobian J."""
-
-    jac: np.ndarray       # (3, 3)
-    origin: np.ndarray    # (3,)
-    kind: str = field(default="affine", init=False)
-
-    def __post_init__(self):
-        det = float(np.linalg.det(self.jac))
-        if det == 0.0 or not np.isfinite(det):
-            raise ValueError("degenerate element: zero-volume tetrahedron")
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "inv", np.linalg.inv(self.jac))
-
-    def apply(self, pts):
-        return self.origin + np.atleast_2d(pts) @ self.jac.T
 
 
 # 10-node quadratic Lagrange tet: 4 vertices then LOCAL_EDGES midpoints.
@@ -90,7 +71,6 @@ class CurvedMap:
 
     control_points: np.ndarray   # (10, 3)
     degree: int = 2
-    kind: str = field(default="curved", init=False)
 
     def __post_init__(self):
         cp = np.asarray(self.control_points, dtype=float)
@@ -202,12 +182,6 @@ def _signed_volumes(verts, tets):
     return np.linalg.det(d) / 6.0
 
 
-def element_map(mesh: TetMesh, tet_index: int) -> AffineMap:
-    """Affine map of one tet: columns of J are the edge vectors from vertex 0."""
-    v = mesh.vertices[mesh.tets[tet_index]]
-    return AffineMap(jac=(v[1:] - v[0]).T.copy(), origin=v[0].copy())
-
-
 def all_affine_data(mesh: TetMesh):
     """Vectorized Jacobian data for every element: (J, origin, det, Jinv)."""
     v = mesh.vertices[mesh.tets]
@@ -215,6 +189,51 @@ def all_affine_data(mesh: TetMesh):
     det = np.linalg.det(jac)
     inv = np.linalg.inv(jac)
     return jac, v[:, 0], det, inv
+
+
+@dataclass(frozen=True)
+class QuadGeometry:
+    """A reference rule mapped to a batch of E elements, and the one place
+    that pushes reference shape data to physical elements.
+
+    ``points`` (E, L, 3) and ``weights`` (E, L) = |det J| w are the physical
+    rule.  ``jac``, ``inv`` and ``det`` have a point axis of length 1 on
+    straight elements (one Jacobian per element, broadcast over the points)
+    and of length L on curved ones (one Jacobian per rule point).
+    """
+
+    rule: RefQuadratureRule
+    points: np.ndarray
+    weights: np.ndarray
+    jac: np.ndarray       # (E, 1 or L, 3, 3)
+    inv: np.ndarray       # (E, 1 or L, 3, 3)
+    det: np.ndarray       # (E, 1 or L)
+
+    @classmethod
+    def affine(cls, rule: RefQuadratureRule, jac, origin, det, inv) -> "QuadGeometry":
+        """Straight elements, from (slices of) the arrays of :func:`all_affine_data`."""
+        points = origin[:, None, :] + np.einsum("epc,lc->elp", jac, rule.points)
+        weights = np.abs(det)[:, None] * rule.weights[None, :]
+        return cls(rule, points, weights, jac[:, None], inv[:, None], det[:, None])
+
+    @classmethod
+    def curved(cls, rule: RefQuadratureRule, cmap: CurvedMap) -> "QuadGeometry":
+        """One curved element; det J must be positive at every rule point."""
+        jac = cmap.jacobian(rule.points)
+        det = np.linalg.det(jac)
+        if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
+            raise ValueError("curved map has non-positive Jacobian determinant at a rule point")
+        return cls(rule, cmap.apply(rule.points)[None], (det * rule.weights)[None],
+                   jac[None], np.linalg.inv(jac)[None], det[None])
+
+    def covariant(self, x):
+        """Push reference values x, any (E or 1, L, ..., 3) array: x J^-1."""
+        return np.einsum("el...c,elcp->el...p", x, self.inv)
+
+    def contravariant(self, x):
+        """Push reference curls x, any (E or 1, L, ..., 3) array: x J^T / det J."""
+        out = np.einsum("el...c,elpc->el...p", x, self.jac)
+        return out / self.det.reshape(self.det.shape + (1,) * (out.ndim - 2))
 
 
 def curved_map(control_points, degree: int = 2) -> CurvedMap:
@@ -330,6 +349,9 @@ def read_gmsh(path) -> TetMesh:
         conn = [int(p) for p in parts[3 + ntags:]]
         if len(conn) != 4:
             raise ValueError("4-node tetrahedron with wrong connectivity length")
+        for v in conn:
+            if v not in nodes:
+                raise ValueError(f"element {parts[0]} references undefined node {v}")
         tets.append(conn)
     expect("$EndElements")
 

@@ -1,4 +1,4 @@
-"""Quadrature rules on the reference tetrahedron and their mapped versions.
+"""Quadrature rules on the reference tetrahedron.
 
 The reference tetrahedron is ``K = conv{0, e1, e2, e3}`` (volume 1/6).  Every
 rule carries a *certified* exactness degree: the largest total polynomial
@@ -24,7 +24,6 @@ from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = [
     "RefQuadratureRule",
-    "MappedQuadrature",
     "VerifyReport",
     "BUILTIN_LABELS",
     "builtin_rule",
@@ -33,8 +32,6 @@ __all__ = [
     "conical_rule",
     "integrate_ref",
     "verify_exactness",
-    "map_affine",
-    "map_curved",
     "dump_rule",
 ]
 
@@ -79,18 +76,6 @@ class RefQuadratureRule:
     @property
     def npoints(self) -> int:
         return len(self.weights)
-
-
-@dataclass(frozen=True)
-class MappedQuadrature:
-    """A reference rule pushed to a physical element (points in R^3)."""
-
-    points: np.ndarray    # (L, 3)
-    weights: np.ndarray   # (L,)
-
-    def __post_init__(self):
-        if self.points.shape != (len(self.weights), 3):
-            raise ValueError("points/weights shape mismatch")
 
 
 @dataclass(frozen=True)
@@ -257,7 +242,9 @@ def _keast24_table():
     return pts, wts
 
 
+@lru_cache(maxsize=None)
 def _gl01(n):
+    """n-point Gauss-Legendre rule on [0, 1]."""
     x, w = roots_legendre(n)
     return (x + 1.0) / 2.0, w / 2.0
 
@@ -371,33 +358,6 @@ def rule_for_degree(d: int) -> RefQuadratureRule:
         if rule.exactness_degree >= d:
             return rule
     return conical_rule((d + 2) // 2)
-
-
-def map_affine(rule: RefQuadratureRule, emap) -> MappedQuadrature:
-    """Push a reference rule through an affine element map.
-
-    Physical points are T(b_l); every weight is scaled by |det J|.
-    """
-    det = emap.det
-    if det == 0.0 or not np.isfinite(det):
-        raise ValueError("affine map has singular Jacobian")
-    points = emap.apply(rule.points)
-    weights = abs(det) * rule.weights
-    return MappedQuadrature(points, weights)
-
-
-def map_curved(rule: RefQuadratureRule, emap) -> MappedQuadrature:
-    """Push a reference rule through a polynomial (curved) element map.
-
-    The Jacobian determinant is evaluated at every rule point; it must be
-    strictly positive there (an inverted or invalid curved element fails).
-    """
-    det = emap.det_at(rule.points)
-    if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
-        raise ValueError("curved map has non-positive Jacobian determinant at a rule point")
-    points = emap.apply(rule.points)
-    weights = det * rule.weights
-    return MappedQuadrature(points, weights)
 
 
 def dump_rule(rule: RefQuadratureRule) -> str:

@@ -1,4 +1,4 @@
-"""Curl-conforming reference bases (orders 1 and 2) and the covariant Piola map.
+"""Curl-conforming reference bases (orders 1 and 2) and their orientation transforms.
 
 Shape functions live on the reference tetrahedron K = conv{0, e1, e2, e3} and
 span  P_{k-1}^3  (+)  {p in ~P_k^3 : x . p = 0}   (6 dofs for k=1, 20 for k=2).
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+
+from .quadrature import _gl01
 
 __all__ = [
     "CurlBasis",
@@ -31,11 +32,8 @@ __all__ = [
     "LOCAL_FACES",
     "REF_VERTICES",
     "curl_basis",
-    "eval_basis",
-    "eval_curl_basis",
     "orientation_key",
     "dof_transform",
-    "piola_push",
 ]
 
 REF_VERTICES = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -140,12 +138,6 @@ def _generators(order):
 # -- canonical reference functionals ------------------------------------------
 
 @lru_cache(maxsize=None)
-def _gl01(n):
-    xx, ww = roots_legendre(n)
-    return (xx + 1.0) / 2.0, ww / 2.0
-
-
-@lru_cache(maxsize=None)
 def _tri_rule(n):
     # Collapsed tensor rule on the unit triangle, exact well past degree 2.
     xu, wu = _gl01(n)
@@ -199,15 +191,6 @@ class CurlBasis:
     def curl_many(self, points) -> np.ndarray:
         m = _mono_values(self.curl_monos, points)
         return np.einsum("nm,dcm->ndc", m, self.curl_coeffs)
-
-
-def eval_basis(basis: CurlBasis, point) -> np.ndarray:
-    """Values of all shape functions at one reference point, (n_dofs, 3)."""
-    return basis.eval_many(np.atleast_2d(point))[0]
-
-
-def eval_curl_basis(basis: CurlBasis, point) -> np.ndarray:
-    return basis.curl_many(np.atleast_2d(point))[0]
 
 
 def _dof_entities(order):
@@ -319,39 +302,3 @@ def dof_transform(key: OrientationKey, basis: CurlBasis) -> np.ndarray:
             C[base + moment, base] = key.face_maps[idx, moment, 0]
             C[base + moment, base + 1] = key.face_maps[idx, moment, 1]
     return np.linalg.inv(C)
-
-
-# -- covariant Piola push ------------------------------------------------------
-
-def piola_push(values, curls, emap, ref_points=None):
-    """Push reference values/curls to a physical element.
-
-    Values map by J^-T and curls by J / det J (the inverse covariant and
-    contravariant pullbacks, which commute with the curl).  ``values`` and
-    ``curls`` may be (n_dofs, 3) for a single point or (N, n_dofs, 3); curved
-    maps need ``ref_points`` to evaluate the pointwise Jacobian.
-    """
-    values = np.asarray(values, dtype=float)
-    curls = np.asarray(curls, dtype=float)
-    single = values.ndim == 2
-    if single:
-        values = values[None]
-        curls = curls[None]
-
-    if emap.kind == "affine":
-        if emap.det == 0.0:
-            raise ValueError("singular Jacobian")
-        pv = values @ emap.inv                       # row v -> v J^-1 == (J^-T v^T)^T
-        pc = (curls @ emap.jac.T) / emap.det
-    else:
-        if ref_points is None:
-            raise ValueError("curved piola_push needs the reference points")
-        J = emap.jacobian(ref_points)                # (N, 3, 3)
-        det = emap.det_at(ref_points)
-        if np.any(det == 0.0):
-            raise ValueError("singular Jacobian")
-        Jinv = np.linalg.inv(J)
-        pv = np.einsum("ndq,nqp->ndp", values, Jinv)
-        pc = np.einsum("ndq,npq->ndp", curls, J) / det[:, None, None]
-
-    return (pv[0], pc[0]) if single else (pv, pc)

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from edgefem.mesh import QuadGeometry, all_affine_data
+from edgefem.quadrature import RefQuadratureRule
+
 
 def barycentric_monomial_integral(volume, powers):
     """int over a tet of lam0^p0 lam1^p1 lam2^p2 lam3^p3, closed form."""
@@ -51,6 +54,21 @@ def random_tet(rng, scale=1.0):
             if det < 0:
                 verts[[2, 3]] = verts[[3, 2]]
             return verts
+
+
+def point_rule(ref_pts):
+    """The reference points as a rule, so a geometry can be built on them.
+
+    The weights are placeholders: the degenerate degree -1 marks a rule that
+    is not meant to integrate anything.
+    """
+    ref_pts = np.atleast_2d(ref_pts)
+    return RefQuadratureRule(ref_pts, np.full(len(ref_pts), 1.0 / 6.0 / len(ref_pts)), -1, "points")
+
+
+def tet_geometry(mesh, tets, rule):
+    """Geometry of ``rule`` on the elements ``tets`` of ``mesh``."""
+    return QuadGeometry.affine(rule, *(a[tets] for a in all_affine_data(mesh)))
 
 
 def fd_curl(field, pts, eps=1e-5):

@@ -6,19 +6,19 @@ from edgefem.assembly import (
     MatrixField,
     QuadratureConfig,
     VectorField,
+    _term_blocks,
     assemble,
     dump_matrix,
-    element_matrices,
     evaluate_forms,
     reference_config,
 )
-from edgefem.mesh import AffineMap, TetMesh, structured_cube_mesh, element_map
+from edgefem.mesh import TetMesh, all_affine_data, structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule, tensorized_gl
-from edgefem.reference_element import curl_basis, orientation_key
+from edgefem.reference_element import curl_basis
 from edgefem.solver import solve
 
-from conftest import random_tet
+from conftest import point_rule, random_tet, tet_geometry
 
 OFF = builtin_rule("pt1_offcenter")
 CEN = builtin_rule("pt1_centroid")
@@ -29,6 +29,21 @@ PT15 = builtin_rule("pt15")
 
 def unit_coeffs(current=np.zeros(3)):
     return Coefficients(mu_inv=np.eye(3), eps=-np.eye(3), omega=1.0, current=current)
+
+
+def element_blocks(mesh, basis, coeffs, config):
+    """Curl-curl blocks, mass blocks and load vectors of every element, in local dofs."""
+    geometry = all_affine_data(mesh)
+    return tuple(
+        _term_blocks(mesh, basis, rule, *geometry, kind, coeff, coeffs.omega)
+        for rule, kind, coeff in ((config.q1, "curl", coeffs.mu_inv), (config.q2, "mass", coeffs.eps),
+                                  (config.q3, "load", coeffs.current)))
+
+
+def one_tet(verts):
+    # random_tet is positively oriented and the ids ascend, so the mesh keeps
+    # the vertex order and the orientation transform is the identity
+    return TetMesh(verts, np.array([[0, 1, 2, 3]]))
 
 
 def test_coefficients_reject_asymmetric():
@@ -44,11 +59,10 @@ def test_curlcurl_block_exact_for_k1_any_rule(rng):
     # k=1 curls are constant, so even the degree-0 rule integrates exactly
     basis = curl_basis(1)
     coeffs = unit_coeffs()
-    verts = random_tet(rng)
-    emap = AffineMap(jac=(verts[1:] - verts[0]).T.copy(), origin=verts[0])
+    mesh = one_tet(random_tet(rng))
     ref = reference_config(8)
-    A0, _, _ = element_matrices(emap, basis, coeffs, QuadratureConfig(OFF, CEN, CEN))
-    A1, _, _ = element_matrices(emap, basis, coeffs, ref)
+    A0, _, _ = element_blocks(mesh, basis, coeffs, QuadratureConfig(OFF, CEN, CEN))
+    A1, _, _ = element_blocks(mesh, basis, coeffs, ref)
     assert np.abs(A0 - A1).max() <= 1e-13 * np.abs(A1).max()
 
 
@@ -63,10 +77,10 @@ def test_mass_block_rule_gap_shrinks_quadratically(rng):
     gaps, rel_gaps = [], []
     scales = (1.0, 0.5, 0.25, 0.125)
     for s in scales:
-        emap = AffineMap(jac=s * (verts[1:] - verts[0]).T, origin=verts[0])
-        A0, M0, _ = element_matrices(emap, basis, coeffs, QuadratureConfig(CEN, CEN, CEN))
+        mesh = one_tet(verts[0] + s * (verts - verts[0]))
+        A0, M0, _ = element_blocks(mesh, basis, coeffs, QuadratureConfig(CEN, CEN, CEN))
         cfg6 = QuadratureConfig(CEN, tensorized_gl(6), CEN)
-        _, M1, _ = element_matrices(emap, basis, coeffs, cfg6)
+        _, M1, _ = element_blocks(mesh, basis, coeffs, cfg6)
         assert np.linalg.norm(M0 - M1) > 1e-8 * np.linalg.norm(M1)
         gaps.append(np.linalg.norm(M0 - M1) / np.linalg.norm(A0))
         rel_gaps.append(np.linalg.norm(M0 - M1) / np.linalg.norm(M1))
@@ -78,18 +92,9 @@ def test_mass_block_rule_gap_shrinks_quadratically(rng):
 def test_zero_current_gives_zero_load(rng):
     basis = curl_basis(2)
     coeffs = unit_coeffs()
-    verts = random_tet(rng)
-    emap = AffineMap(jac=(verts[1:] - verts[0]).T.copy(), origin=verts[0])
-    _, _, f = element_matrices(emap, basis, coeffs, QuadratureConfig(PT5, PT5, PT15))
+    mesh = one_tet(random_tet(rng))
+    _, _, f = element_blocks(mesh, basis, coeffs, QuadratureConfig(PT5, PT5, PT15))
     assert np.abs(f).max() == 0.0
-
-
-def test_element_matrices_reject_curved():
-    class FakeCurved:
-        kind = "curved"
-
-    with pytest.raises(ValueError):
-        element_matrices(FakeCurved(), curl_basis(1), unit_coeffs(), reference_config(2))
 
 
 def test_assemble_unit_cube_example():
@@ -118,11 +123,10 @@ def test_doubled_mass_weights_double_mass_blocks(rng):
 
     basis = curl_basis(1)
     coeffs = unit_coeffs()
-    verts = random_tet(rng)
-    emap = AffineMap(jac=(verts[1:] - verts[0]).T.copy(), origin=verts[0])
+    mesh = one_tet(random_tet(rng))
     doubled = RefQuadratureRule(CEN.points, 2.0 * CEN.weights, -1, "doubled")
-    A0, M0, _ = element_matrices(emap, basis, coeffs, QuadratureConfig(CEN, CEN, CEN))
-    A1, M1, _ = element_matrices(emap, basis, coeffs, QuadratureConfig(CEN, doubled, CEN))
+    A0, M0, _ = element_blocks(mesh, basis, coeffs, QuadratureConfig(CEN, CEN, CEN))
+    A1, M1, _ = element_blocks(mesh, basis, coeffs, QuadratureConfig(CEN, doubled, CEN))
     assert np.abs(A1 - A0).max() == 0.0
     assert np.abs(M1 - 2.0 * M0).max() <= 1e-14 * np.abs(M0).max()
 
@@ -170,12 +174,11 @@ def test_quadrature_exactness_equivalence(order, q1, q2):
     mesh = structured_cube_mesh(1)
     basis = curl_basis(order)
     ref = QuadratureConfig(tensorized_gl(8), tensorized_gl(8), tensorized_gl(8))
+    A0, M0, _ = element_blocks(mesh, basis, prob.coefficients, QuadratureConfig(q1, q2, q2))
+    A1, M1, _ = element_blocks(mesh, basis, prob.coefficients, ref)
     for e in range(mesh.n_tets):
-        emap = element_map(mesh, e)
-        A0, M0, _ = element_matrices(emap, basis, prob.coefficients, QuadratureConfig(q1, q2, q2))
-        A1, M1, _ = element_matrices(emap, basis, prob.coefficients, ref)
-        assert np.linalg.norm(A0 - A1) <= 1e-11 * np.linalg.norm(A1)
-        assert np.linalg.norm(M0 - M1) <= 1e-11 * np.linalg.norm(M1)
+        assert np.linalg.norm(A0[e] - A1[e]) <= 1e-11 * np.linalg.norm(A1[e])
+        assert np.linalg.norm(M0[e] - M1[e]) <= 1e-11 * np.linalg.norm(M1[e])
 
 
 def test_curlcurl_annihilates_hat_gradients():
@@ -202,6 +205,7 @@ def test_pec_tangential_trace(rng):
     for e in range(mesh.n_tets):
         for f in mesh.tet2face[e]:
             tet_of_face.setdefault(f, e)
+    jac, origin, det, inv = all_affine_data(mesh)
     worst = 0.0
     for f in rng.choice(mesh.boundary_faces, size=8, replace=False):
         a, b, c = mesh.faces[f]
@@ -212,10 +216,9 @@ def test_pec_tangential_trace(rng):
         uv = np.where(uv.sum(axis=1, keepdims=True) > 1.0, 1.0 - uv, uv)
         pts = p0 + uv[:, :1] * (p1 - p0) + uv[:, 1:] * (p2 - p0)
         tet = tet_of_face[f]
-        emap = element_map(mesh, tet)
-        ref = (pts - emap.origin) @ emap.inv.T
-        vals, _ = field.eval_in_element(tet, ref)
-        tang = vals - (vals @ nrm)[:, None] * nrm
+        ref = (pts - origin[tet]) @ inv[tet].T
+        vals, _ = field.eval_elements(tet_geometry(mesh, [tet], point_rule(ref)), [tet])
+        tang = vals[0] - (vals[0] @ nrm)[:, None] * nrm
         worst = max(worst, np.abs(tang).max())
     assert worst <= 1e-9
 
@@ -256,17 +259,24 @@ def test_order2_dof_layout_and_pec():
     assert np.linalg.eigvalsh(dense).min() > 0.0
 
 
-def test_solution_field_eval_consistency(rng):
+def test_solution_field_eval_consistency():
+    # the batched evaluation against a per-element, per-point loop
     prob = catalog("cube_poly")
     mesh = structured_cube_mesh(2)
     system = assemble(mesh, 1, prob.coefficients, QuadratureConfig(OFF, CEN, CEN))
     field, _ = solve(system, tol=1e-12)
-    pts = rng.random((4, 3)) * 0.2
-    vals_vec, curls_vec = field.eval_elements(pts, tet_indices=[3, 11])
-    for row, tet in enumerate((3, 11)):
-        v, c = field.eval_in_element(tet, pts)
-        assert np.abs(v - vals_vec[row]).max() <= 1e-14
-        assert np.abs(c - curls_vec[row]).max() <= 1e-14
+    basis = curl_basis(1)
+    tets = [3, 11]
+    vals_vec, curls_vec = field.eval_elements(tet_geometry(mesh, tets, PT15), tets)
+    for row, tet in enumerate(tets):
+        corners = mesh.vertices[mesh.tets[tet]]
+        jac = (corners[1:] - corners[0]).T
+        local = field.orientations[tet] @ field.dofs[field.gdof[tet]]
+        for p, ref in enumerate(PT15.points):
+            v = (local @ basis.eval_many(ref[None])[0]) @ np.linalg.inv(jac)
+            c = jac @ (local @ basis.curl_many(ref[None])[0]) / np.linalg.det(jac)
+            assert np.abs(v - vals_vec[row, p]).max() <= 1e-14
+            assert np.abs(c - curls_vec[row, p]).max() <= 1e-14
 
 
 def test_dump_matrix_format():

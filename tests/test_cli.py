@@ -157,10 +157,18 @@ def test_main_convergence_assert_gate(tmp_path):
     assert main(["convergence", "--config", str(path), "--out", str(tmp_path)]) == 0
 
 
-def test_main_rejects_unknown_keys(tmp_path):
+def test_main_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"problem": "cube_poly", "wrong": 1}))
     assert main(["convergence", "--config", str(path), "--out", str(tmp_path)]) == 1
+    # a probe typo must not silently fall back to the default order
+    path.write_text(json.dumps({"kind": "consistency", "ordr": 2, "mesh_ns": [1, 2, 3]}))
+    assert main(["probe", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "ordr" in capsys.readouterr().err
+    path.write_text(json.dumps({"kind": "curved", "mesh_ns": [1, 2, 3]}))
+    assert main(["probe", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "mesh_ns" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.dat"))
 
 
 def test_main_requires_config(tmp_path):

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from edgefem.mesh import (
-    AffineMap,
+    QuadGeometry,
     TetMesh,
+    all_affine_data,
     curved_map,
-    element_map,
     mesh_metrics,
     read_gmsh,
     structured_cube_mesh,
     write_gmsh,
 )
 from edgefem.reference_element import LOCAL_EDGES, REF_VERTICES
+
+from conftest import point_rule, random_tet
 
 
 def test_kuhn_split_unit_counts():
@@ -65,30 +67,28 @@ def test_edge_and_face_tables_sorted_unique():
 
 def test_element_map_reference_tet():
     mesh = TetMesh(REF_VERTICES.copy(), np.array([[0, 1, 2, 3]]))
-    emap = element_map(mesh, 0)
-    assert np.allclose(emap.jac, np.eye(3))
-    assert np.allclose(emap.origin, 0.0)
-    assert emap.det == pytest.approx(1.0)
+    jac, origin, det, inv = all_affine_data(mesh)
+    assert np.allclose(jac[0], np.eye(3))
+    assert np.allclose(origin[0], 0.0)
+    assert det[0] == pytest.approx(1.0)
+    assert np.allclose(inv[0], np.eye(3))
 
 
 def test_element_map_scaling_and_interpolation(rng):
     verts = 2.0 * REF_VERTICES
     mesh = TetMesh(verts, np.array([[0, 1, 2, 3]]))
-    assert element_map(mesh, 0).det == pytest.approx(8.0)
+    assert all_affine_data(mesh)[2][0] == pytest.approx(8.0)
 
-    from conftest import random_tet
-    tet = random_tet(rng)
-    mesh = TetMesh(tet, np.array([[0, 1, 2, 3]]))
-    emap = element_map(mesh, 0)
-    mapped = emap.apply(REF_VERTICES)
-    assert np.abs(mapped - mesh.vertices[mesh.tets[0]]).max() <= 1e-14
+    mesh = TetMesh(random_tet(rng), np.array([[0, 1, 2, 3]]))
+    geo = QuadGeometry.affine(point_rule(REF_VERTICES), *all_affine_data(mesh))
+    assert np.abs(geo.points[0] - mesh.vertices[mesh.tets[0]]).max() <= 1e-14
 
 
 def test_element_map_det_is_six_volumes():
     m = structured_cube_mesh(2)
+    det = all_affine_data(m)[2]
     for e in (0, 7, 31):
-        emap = element_map(m, e)
-        assert abs(emap.det) == pytest.approx(6.0 * abs(m.volumes[e]), rel=1e-13)
+        assert abs(det[e]) == pytest.approx(6.0 * abs(m.volumes[e]), rel=1e-13)
 
 
 def test_degenerate_tet_rejected():
@@ -200,6 +200,17 @@ def test_gmsh_no_tets(tmp_path):
         "$Elements\n1\n1 15 2 0 1 1\n$EndElements\n"
     )
     with pytest.raises(ValueError, match="no 4-node tetrahedra"):
+        read_gmsh(path)
+
+
+def test_gmsh_undefined_node(tmp_path):
+    path = tmp_path / "dangling.msh"
+    path.write_text(
+        "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+        "$Nodes\n4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n$EndNodes\n"
+        "$Elements\n1\n7 4 2 0 1 1 2 3 9\n$EndElements\n"
+    )
+    with pytest.raises(ValueError, match="element 7 references undefined node 9"):
         read_gmsh(path)
 
 

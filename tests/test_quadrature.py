@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from edgefem.mesh import AffineMap, curved_map
+from edgefem.mesh import QuadGeometry, TetMesh, all_affine_data, curved_map
 from edgefem.quadrature import (
     BUILTIN_LABELS,
     RefQuadratureRule,
@@ -12,16 +12,20 @@ from edgefem.quadrature import (
     dump_rule,
     exact_monomial_integral,
     integrate_ref,
-    map_affine,
-    map_curved,
     monomials_of_degree,
     rule_for_degree,
     tensorized_gl,
     verify_exactness,
 )
-from edgefem.reference_element import LOCAL_EDGES, REF_VERTICES
+from edgefem.reference_element import LOCAL_EDGES, REF_VERTICES, curl_basis
 
 from conftest import simplex_monomial_integral, random_tet
+
+
+def affine_geometry(rule, verts):
+    """The rule mapped to the tet with corners ``verts`` (positively oriented)."""
+    mesh = TetMesh(np.array(verts, dtype=float), np.array([[0, 1, 2, 3]]))
+    return QuadGeometry.affine(rule, *all_affine_data(mesh))
 
 
 @pytest.mark.parametrize("label", BUILTIN_LABELS)
@@ -141,24 +145,21 @@ def test_monomial_oracle_against_reference_tet():
 
 def test_map_affine_identity_and_scaling():
     rule = builtin_rule("pt15")
-    ident = AffineMap(jac=np.eye(3), origin=np.zeros(3))
-    mq = map_affine(rule, ident)
-    assert np.allclose(mq.points, rule.points)
-    assert np.allclose(mq.weights, rule.weights)
+    geo = affine_geometry(rule, REF_VERTICES)
+    assert np.allclose(geo.points[0], rule.points)
+    assert np.allclose(geo.weights[0], rule.weights)
 
-    scaled = AffineMap(jac=2.0 * np.eye(3), origin=np.zeros(3))
-    mq2 = map_affine(rule, scaled)
-    assert np.allclose(mq2.weights, 8.0 * rule.weights)
+    geo2 = affine_geometry(rule, 2.0 * REF_VERTICES)
+    assert np.allclose(geo2.weights[0], 8.0 * rule.weights)
 
 
 def test_map_affine_weight_sum_is_volume(rng):
     rule = builtin_rule("pt4")
     for _ in range(5):
         verts = random_tet(rng)
-        emap = AffineMap(jac=(verts[1:] - verts[0]).T.copy(), origin=verts[0])
-        mq = map_affine(rule, emap)
+        geo = affine_geometry(rule, verts)
         vol = abs(np.linalg.det((verts[1:] - verts[0]).T)) / 6.0
-        assert mq.weights.sum() == pytest.approx(vol, rel=1e-13)
+        assert geo.weights.sum() == pytest.approx(vol, rel=1e-13)
 
 
 @pytest.mark.parametrize("label", ["pt1_centroid", "pt4", "pt5", "pt15", "high"])
@@ -169,21 +170,13 @@ def test_map_affine_preserves_exactness(label, rng):
     deg = min(rule.exactness_degree, 5)
     for _ in range(3):
         verts = random_tet(rng)
-        emap = AffineMap(jac=(verts[1:] - verts[0]).T.copy(), origin=verts[0])
-        mq = map_affine(rule, emap)
+        geo = affine_geometry(rule, verts)
+        pts, wts = geo.points[0], geo.weights[0]
         for d in range(deg + 1):
             for abc in monomials_of_degree(d):
-                approx = np.dot(mq.weights, mq.points[:, 0] ** abc[0]
-                                * mq.points[:, 1] ** abc[1] * mq.points[:, 2] ** abc[2])
+                approx = np.dot(wts, pts[:, 0] ** abc[0] * pts[:, 1] ** abc[1] * pts[:, 2] ** abc[2])
                 exact = simplex_monomial_integral(verts, abc)
                 assert abs(approx - exact) <= 1e-11 * max(1.0, abs(exact))
-
-
-def test_map_affine_singular():
-    jac = np.eye(3)
-    jac[2, 2] = 0.0
-    with pytest.raises(ValueError):
-        AffineMap(jac=jac, origin=np.zeros(3))
 
 
 def _curved_control(bump=0.15):
@@ -196,35 +189,40 @@ def _curved_control(bump=0.15):
 
 
 def test_map_curved_matches_affine_for_straight_elements(rng):
+    # a curved map with mid-edge control points is the affine map: same
+    # points, weights and pushes, from one Jacobian per point instead of one
     rule = builtin_rule("pt15")
     verts = random_tet(rng)
     ctrl = [v for v in verts]
     for a, b in LOCAL_EDGES:
         ctrl.append((verts[a] + verts[b]) / 2.0)
-    cmap = curved_map(np.array(ctrl))
-    emap = AffineMap(jac=(verts[1:] - verts[0]).T.copy(), origin=verts[0])
-    mq_c = map_curved(rule, cmap)
-    mq_a = map_affine(rule, emap)
-    assert np.abs(mq_c.points - mq_a.points).max() <= 1e-13
-    assert np.abs(mq_c.weights - mq_a.weights).max() <= 1e-13
+    geo_c = QuadGeometry.curved(rule, curved_map(np.array(ctrl)))
+    geo_a = affine_geometry(rule, verts)
+    assert geo_c.jac.shape == (1, rule.npoints, 3, 3) and geo_a.jac.shape == (1, 1, 3, 3)
+    assert np.abs(geo_c.points - geo_a.points).max() <= 1e-13
+    assert np.abs(geo_c.weights - geo_a.weights).max() <= 1e-13
+    basis = curl_basis(2)
+    vals, curls = basis.eval_many(rule.points)[None], basis.curl_many(rule.points)[None]
+    assert np.abs(geo_c.covariant(vals) - geo_a.covariant(vals)).max() <= 1e-12
+    assert np.abs(geo_c.contravariant(curls) - geo_a.contravariant(curls)).max() <= 1e-12
 
 
 def test_map_curved_centroid_weight_is_pointwise_det():
     cmap = curved_map(_curved_control())
     rule = builtin_rule("pt1_centroid")
-    mq = map_curved(rule, cmap)
+    geo = QuadGeometry.curved(rule, cmap)
     det = cmap.det_at(np.array([[0.25, 0.25, 0.25]]))[0]
-    assert mq.weights[0] == pytest.approx(det / 6.0, rel=1e-14)
+    assert geo.weights[0, 0] == pytest.approx(det / 6.0, rel=1e-14)
 
 
 def test_map_curved_volume_against_high_order_oracle():
     # total mapped weight equals the volume integral of det J computed with
     # a high-order certified tensor rule
     cmap = curved_map(_curved_control())
-    mq = map_curved(builtin_rule("high"), cmap)
+    geo = QuadGeometry.curved(builtin_rule("high"), cmap)
     ref = tensorized_gl(8)
     vol = np.dot(ref.weights, cmap.det_at(ref.points))
-    assert mq.weights.sum() == pytest.approx(vol, rel=1e-12)
+    assert geo.weights.sum() == pytest.approx(vol, rel=1e-12)
 
 
 def test_map_curved_rejects_nonpositive_jacobian():

@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from edgefem.mesh import AffineMap, TetMesh, element_map
+from edgefem.analysis import shrunk_quadratic_map
+from edgefem.mesh import QuadGeometry, TetMesh, all_affine_data
 from edgefem.reference_element import (
     LOCAL_EDGES,
     LOCAL_FACES,
     REF_VERTICES,
     curl_basis,
     dof_transform,
-    eval_basis,
-    eval_curl_basis,
     orientation_key,
-    piola_push,
 )
 
-from conftest import fd_curl, random_tet
+from conftest import fd_curl, point_rule, random_tet, tet_geometry
 
 LAM_GRADS = np.array([[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -38,7 +36,7 @@ def test_whitney_values_at_vertex_and_interior():
     basis = curl_basis(1)
     assert basis.n_dofs == 6
     for point in (np.zeros(3), np.array([0.17, 0.21, 0.33]), np.array([0.25, 0.25, 0.25])):
-        table = eval_basis(basis, point)
+        table = basis.eval_many(point[None])[0]
         hand = np.array([whitney(a, b, point) for a, b in LOCAL_EDGES])
         assert np.abs(table - hand).max() <= 1e-12
 
@@ -48,7 +46,7 @@ def test_whitney_edge_duality():
     for i in range(6):
         for j in range(6):
             a, b = LOCAL_EDGES[i]
-            val = edge_moment(lambda p: eval_basis(basis, p)[j], a, b)
+            val = edge_moment(lambda p: basis.eval_many(p[None])[0, j], a, b)
             assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
 
@@ -61,8 +59,8 @@ def test_order2_dof_count():
 
 def test_whitney_curls_constant_and_exact():
     basis = curl_basis(1)
-    c0 = eval_curl_basis(basis, np.zeros(3))
-    c1 = eval_curl_basis(basis, np.array([0.3, 0.1, 0.4]))
+    c0 = basis.curl_many(np.zeros((1, 3)))[0]
+    c1 = basis.curl_many(np.array([[0.3, 0.1, 0.4]]))[0]
     assert np.abs(c0 - c1).max() == 0.0
     hand = np.array([2.0 * np.cross(LAM_GRADS[a], LAM_GRADS[b]) for a, b in LOCAL_EDGES])
     assert np.abs(c0 - hand).max() <= 1e-12
@@ -84,16 +82,17 @@ def test_order2_curls_are_divergence_free():
 
 def test_piola_identity_and_scaling():
     basis = curl_basis(1)
-    p = np.array([0.2, 0.3, 0.1])
-    vals, curls = eval_basis(basis, p), eval_curl_basis(basis, p)
+    p = np.array([[0.2, 0.3, 0.1]])
+    vals, curls = basis.eval_many(p)[None], basis.curl_many(p)[None]
+    tet = np.array([[0, 1, 2, 3]])
 
-    ident = AffineMap(jac=np.eye(3), origin=np.zeros(3))
-    pv, pc = piola_push(vals, curls, ident)
+    ident = tet_geometry(TetMesh(REF_VERTICES.copy(), tet), [0], point_rule(p))
+    pv, pc = ident.covariant(vals), ident.contravariant(curls)
     assert np.abs(pv - vals).max() == 0.0 and np.abs(pc - curls).max() == 0.0
 
     s = 3.0
-    scale = AffineMap(jac=s * np.eye(3), origin=np.zeros(3))
-    pv, pc = piola_push(vals, curls, scale)
+    scale = tet_geometry(TetMesh(s * REF_VERTICES, tet), [0], point_rule(p))
+    pv, pc = scale.covariant(vals), scale.contravariant(curls)
     assert np.abs(pv - vals / s).max() <= 1e-14
     assert np.abs(pc - curls / s ** 2).max() <= 1e-14
 
@@ -102,19 +101,39 @@ def test_piola_identity_and_scaling():
 def test_piola_curl_commutes_with_fd_oracle(order, rng):
     # the pushed curl must equal the finite-difference curl of the pushed values
     basis = curl_basis(order)
-    verts = random_tet(rng)
-    emap = AffineMap(jac=(verts[1:] - verts[0]).T.copy(), origin=verts[0])
+    mesh = TetMesh(random_tet(rng), np.array([[0, 1, 2, 3]]))
+    _, origin, _, inv = (a[0] for a in all_affine_data(mesh))
 
     def pushed_values(phys_pts):
-        ref = (np.atleast_2d(phys_pts) - emap.origin) @ emap.inv.T
+        ref = (np.atleast_2d(phys_pts) - origin) @ inv.T
         vals = basis.eval_many(ref)
-        return np.einsum("nmc,cp->nmp", vals, emap.inv)
+        return np.einsum("nmc,cp->nmp", vals, inv)
 
     ref_pts = np.array([[0.25, 0.25, 0.2], [0.3, 0.2, 0.3]])
-    phys = emap.apply(ref_pts)
-    pv, pc = piola_push(basis.eval_many(ref_pts), basis.curl_many(ref_pts), emap)
+    geo = tet_geometry(mesh, [0], point_rule(ref_pts))
+    pc = geo.contravariant(basis.curl_many(ref_pts)[None])[0]
     for m in range(basis.n_dofs):
-        fd = fd_curl(lambda q, m=m: pushed_values(q)[:, m, :], phys)
+        fd = fd_curl(lambda q, m=m: pushed_values(q)[:, m, :], geo.points[0])
+        assert np.abs(fd.real - pc[:, m, :]).max() <= 1e-5
+
+
+def test_curved_piola_curl_commutes_with_fd_oracle():
+    # the same oracle on a curved element, where J varies from point to point
+    basis = curl_basis(2)
+    cmap = shrunk_quadratic_map(1.0)
+
+    def pushed_values(phys_pts):
+        ref = np.full((len(phys_pts), 3), 0.25)
+        for _ in range(30):                 # invert the map by Newton's method
+            step = np.linalg.solve(cmap.jacobian(ref), (cmap.apply(ref) - phys_pts)[..., None])
+            ref = ref - step[..., 0]
+        return np.einsum("nmc,ncp->nmp", basis.eval_many(ref), np.linalg.inv(cmap.jacobian(ref)))
+
+    ref_pts = np.array([[0.25, 0.25, 0.2], [0.3, 0.2, 0.3], [0.1, 0.6, 0.2]])
+    geo = QuadGeometry.curved(point_rule(ref_pts), cmap)
+    pc = geo.contravariant(basis.curl_many(ref_pts)[None])[0]
+    for m in range(basis.n_dofs):
+        fd = fd_curl(lambda q, m=m: pushed_values(q)[:, m, :], geo.points[0])
         assert np.abs(fd.real - pc[:, m, :]).max() <= 1e-5
 
 
@@ -133,14 +152,16 @@ def test_orientation_face_maps_are_unimodular():
         assert abs(round(np.linalg.det(key.face_maps[f]))) == 1
 
 
+def _pushed_values(mesh, tet, basis, phys_pts):
+    _, origin, _, inv = all_affine_data(mesh)
+    ref = (phys_pts - origin[tet]) @ inv[tet].T
+    geo = tet_geometry(mesh, [tet], point_rule(ref))
+    return geo.covariant(basis.eval_many(ref)[None])[0]
+
+
 def _global_basis_at(mesh, tet, basis, phys_pts):
-    emap = element_map(mesh, tet)
-    ref = (phys_pts - emap.origin) @ emap.inv.T
-    vals = basis.eval_many(ref)
-    curls = basis.curl_many(ref)
-    pv, _ = piola_push(vals, curls, emap)
     X = dof_transform(orientation_key(mesh.tets[tet]), basis)
-    return np.einsum("nmc,md->ndc", pv, X)
+    return np.einsum("nmc,md->ndc", _pushed_values(mesh, tet, basis, phys_pts), X)
 
 
 def _global_entities(mesh, tet, basis):
@@ -167,10 +188,7 @@ def test_shared_edge_tangential_direction(rng):
     for tet in (0, 1):
         gids = [gid_of[v] for v in mesh.tets[tet]]
         X = dof_transform(orientation_key(gids), basis)
-        emap = element_map(mesh, tet)
-        ref = (pts - emap.origin) @ emap.inv.T
-        pv, _ = piola_push(basis.eval_many(ref), basis.curl_many(ref), emap)
-        gvals = np.einsum("nmc,md->ndc", pv, X)
+        gvals = np.einsum("nmc,md->ndc", _pushed_values(mesh, tet, basis, pts), X)
         ents = []
         for kind, idx, mom in basis.dof_entities:
             a, b = LOCAL_EDGES[idx]
