@@ -19,7 +19,7 @@ from .quadrature import (
     integrate_ref,
     verify_exactness,
 )
-from .reference_element import CurlBasis, OrientationKey, curl_basis, orientation_key
+from .reference_element import CurlBasis, curl_basis
 from .mesh import TetMesh, CurvedMap, QuadGeometry, structured_cube_mesh, read_gmsh, write_gmsh, curved_map, mesh_metrics
 from .assembly import Coefficients, QuadratureConfig, SparseSystem, SolutionField, assemble, evaluate_forms
 from .solver import SolveReport, SolverBreakdown, solve, solve_dense

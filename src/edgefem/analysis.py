@@ -97,6 +97,12 @@ def fit_rate(records, x_axis: str = "dofs", window: int = 0) -> RateFit:
     return RateFit(float(slope), float(intercept), len(xs), resid)
 
 
+def _check_rate_meshes(mesh_ns):
+    """Raise before any level is computed when ``mesh_ns`` is too short to fit a rate."""
+    if len(mesh_ns) < 3:
+        raise ValueError(f"mesh_ns must list at least 3 meshes to fit a rate, got {list(mesh_ns)}")
+
+
 def records_to_csv(records) -> str:
     lines = [CSV_HEADER]
     for r in records:
@@ -140,19 +146,11 @@ def hcurl_error(sol: SolutionField, exact_pair, quad_degree: int,
 
 def discrete_hcurl_norm(mesh: TetMesh, order: int, dofs: np.ndarray) -> float:
     """sqrt(||u||^2 + ||curl u||^2) of a discrete field given by full dofs."""
-    sol = _field(mesh, order, dofs)
+    sol = SolutionField(mesh, order, dofs)
     rule = rule_for_degree(2 * order + 2)
     zero = lambda pts: np.zeros((len(pts), 3))
     l2_sq, curl_sq = _error_integrals(sol, zero, zero, rule)
     return math.sqrt(l2_sq + curl_sq)
-
-
-def _field(mesh: TetMesh, order: int, dofs: np.ndarray) -> SolutionField:
-    from .assembly import _orientation_transforms
-
-    _, gdof, _ = _dof_layout(mesh, order)
-    X = _orientation_transforms(mesh, curl_basis(order))
-    return SolutionField(mesh=mesh, order=order, dofs=np.asarray(dofs, complex), gdof=gdof, orientations=X)
 
 
 def interpolate(mesh: TetMesh, order: int, field) -> np.ndarray:
@@ -232,6 +230,7 @@ def consistency_probe(order: int, mesh_ns, coeffs: Coefficients, config: Quadrat
     """
     from .mesh import structured_cube_mesh
 
+    _check_rate_meshes(mesh_ns)
     builder = builder or structured_cube_mesh
     seed = seed or DEFAULT_SEED
     rows = []

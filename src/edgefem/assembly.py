@@ -17,13 +17,14 @@ assemblies of the same inputs are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import QuadGeometry, TetMesh, all_affine_data
 from .quadrature import RefQuadratureRule, rule_for_degree
-from .reference_element import CurlBasis, curl_basis, dof_transform, orientation_key
+from .reference_element import CurlBasis, curl_basis, orientation_table
 
 __all__ = [
     "MatrixField",
@@ -131,33 +132,38 @@ def reference_config(degree: int = 10) -> QuadratureConfig:
 # -- dof numbering -------------------------------------------------------------
 
 def _dof_layout(mesh: TetMesh, order: int):
-    """Global dof count, per-element dof map and the PEC-constrained mask."""
+    """Global dof count, per-element dof map and the PEC-constrained mask.
+
+    Order 1 has one dof per edge; order 2 has two per edge, then two per face.
+    """
+    ne = mesh.n_edges
+    on_boundary = np.zeros(ne + mesh.n_faces, dtype=bool)       # edges, then faces
+    on_boundary[mesh.boundary_edges] = True
+    on_boundary[ne + mesh.boundary_faces] = True
     if order == 1:
-        n_dofs = mesh.n_edges
-        gdof = mesh.tet2edge.copy()
-        constrained = np.zeros(n_dofs, dtype=bool)
-        constrained[mesh.boundary_edges] = True
-    elif order == 2:
-        ne = mesh.n_edges
-        n_dofs = 2 * ne + 2 * mesh.n_faces
-        e_part = (2 * mesh.tet2edge[:, :, None] + np.arange(2)).reshape(mesh.n_tets, 12)
-        f_part = (2 * ne + 2 * mesh.tet2face[:, :, None] + np.arange(2)).reshape(mesh.n_tets, 8)
-        gdof = np.concatenate([e_part, f_part], axis=1)
-        constrained = np.zeros(n_dofs, dtype=bool)
-        for e in mesh.boundary_edges:
-            constrained[2 * e] = constrained[2 * e + 1] = True
-        for f in mesh.boundary_faces:
-            constrained[2 * ne + 2 * f] = constrained[2 * ne + 2 * f + 1] = True
-    else:
-        raise ValueError("order must be 1 or 2")
-    return n_dofs, gdof, constrained
+        return ne, mesh.tet2edge.copy(), on_boundary[:ne]
+    if order == 2:
+        entity = np.concatenate([mesh.tet2edge, ne + mesh.tet2face], axis=1)
+        gdof = (2 * entity[:, :, None] + np.arange(2)).reshape(mesh.n_tets, 20)
+        return 2 * len(on_boundary), gdof, np.repeat(on_boundary, 2)
+    raise ValueError("order must be 1 or 2")
 
 
 def _orientation_transforms(mesh: TetMesh, basis: CurlBasis) -> np.ndarray:
-    X = np.empty((mesh.n_tets, basis.n_dofs, basis.n_dofs))
-    for e in range(mesh.n_tets):
-        X[e] = dof_transform(orientation_key(mesh.tets[e]), basis)
-    return X
+    """Per-element dof transforms X (nt, nd, nd), looked up by vertex-id ranking."""
+    rank = np.argsort(np.argsort(mesh.tets, axis=1), axis=1)
+    # position of each ranking in the lexicographic RANKINGS: its Lehmer code
+    lehmer = np.triu(rank[:, :, None] > rank[:, None, :], 1).sum(axis=2)
+    return orientation_table(basis.order)[lehmer @ np.array([6, 2, 1, 0])]
+
+
+def _local_coefficients(mesh: TetMesh, order: int, *dof_vectors):
+    """For each full dof vector, its (nt, nd) coefficients in the elements' local bases."""
+    n_dofs, gdof, _ = _dof_layout(mesh, order)
+    if any(len(dofs) != n_dofs for dofs in dof_vectors):
+        raise ValueError(f"dof vectors must have the full length {n_dofs}")
+    X = _orientation_transforms(mesh, curl_basis(order))
+    return [np.einsum("emd,ed->em", X, np.asarray(dofs, dtype=complex)[gdof]) for dofs in dof_vectors]
 
 
 @dataclass
@@ -177,8 +183,6 @@ class SparseSystem:
     full_rhs: np.ndarray
     mesh: TetMesh
     order: int
-    gdof: np.ndarray
-    orientations: np.ndarray
     free_index: np.ndarray
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
@@ -195,13 +199,14 @@ class SolutionField:
     mesh: TetMesh
     order: int
     dofs: np.ndarray              # full layout, constrained entries zero
-    gdof: np.ndarray              # (nt, nd)
-    orientations: np.ndarray      # (nt, nd, nd)
 
     def __post_init__(self):
         self.basis = curl_basis(self.order)
-        # local coefficients of the physical per-element expansion
-        self.local = np.einsum("emd,ed->em", self.orientations, self.dofs[self.gdof])
+
+    @cached_property
+    def local(self) -> np.ndarray:
+        """Local coefficients of the physical per-element expansion, (nt, nd)."""
+        return _local_coefficients(self.mesh, self.order, self.dofs)[0]
 
     def eval_elements(self, geo: QuadGeometry, tet_indices):
         """(values, curls) at the points of ``geo``, as (E, L, 3) arrays.
@@ -281,8 +286,6 @@ def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quadrature
         full_rhs=full_rhs,
         mesh=mesh,
         order=order,
-        gdof=gdof,
-        orientations=X,
         free_index=free,
     )
 
@@ -295,13 +298,8 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
     :func:`reference_config` gives the high-degree 'exact' reference values.
     """
     basis = curl_basis(order)
-    n_dofs, gdof, _ = _dof_layout(mesh, order)
-    if len(U_dofs) != n_dofs or len(V_dofs) != n_dofs:
-        raise ValueError(f"dof vectors must have the full length {n_dofs}")
+    u_loc, v_loc = _local_coefficients(mesh, order, U_dofs, V_dofs)
     affine = all_affine_data(mesh)
-    X = _orientation_transforms(mesh, basis)
-    u_loc = np.einsum("emd,ed->em", X, np.asarray(U_dofs, dtype=complex)[gdof])
-    v_loc = np.einsum("emd,ed->em", X, np.asarray(V_dofs, dtype=complex)[gdof])
 
     phi = 0.0 + 0.0j
     load = 0.0 + 0.0j

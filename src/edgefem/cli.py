@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import (
     DEFAULT_SEED,
+    _check_rate_meshes,
     consistency_probe,
     curved_probe,
     curved_rule_degree,
@@ -41,6 +42,7 @@ from .solver import solve
 __all__ = ["ExperimentConfig", "run_convergence", "run_preasymptotic", "run_probe", "run_quadcheck", "main"]
 
 DEFAULT_MESH_NS = {1: [2, 4, 6, 8, 12, 16, 24], 2: [2, 4, 6, 8, 12]}
+DEFAULT_PROBE_MESH_NS = [2, 4, 8, 12]
 
 _CONFIG_KEYS = {"problem", "order", "mesh_ns", "q1", "q2", "q3", "solver_tol", "label",
                 "fit_window", "expect_slope", "slope_tol", "expect_exit_index"}
@@ -185,7 +187,7 @@ def run_probe(kind: str, params: dict, out_dir):
     if kind == "consistency":
         order = params.get("order", 1)
         m = params.get("m", 1)
-        mesh_ns = params.get("mesh_ns", [2, 4, 8, 12])
+        mesh_ns = params.get("mesh_ns", DEFAULT_PROBE_MESH_NS)
         problem = params.get("problem", "cube_oscillatory(1)")
         entry = catalog(problem)
         q1 = resolve_rule(params.get("q1", "pt1_centroid"))
@@ -217,12 +219,15 @@ def run_probe(kind: str, params: dict, out_dir):
 
 
 def _load_probe(path):
-    """(kind, expect_min_slope, params) of a probe config; unknown keys are rejected."""
+    """(kind, expect_min_slope, params) of a probe config; unknown keys and a
+    consistency ``mesh_ns`` too short to fit a rate are rejected."""
     params = json.loads(Path(path).read_text())
     kind = params.pop("kind", "consistency")
     if kind not in _PROBE_KEYS:
         raise ValueError(f"unknown probe kind {kind!r}")
     _check_keys(params, _PROBE_KEYS[kind])
+    if kind == "consistency":
+        _check_rate_meshes(params.get("mesh_ns", DEFAULT_PROBE_MESH_NS))
     return kind, params.pop("expect_min_slope", None), params
 
 
@@ -319,6 +324,8 @@ def main(argv=None) -> int:
             kind, expect, params = _load_probe(args.config)
         else:
             config = ExperimentConfig.from_json(args.config)
+            if args.command == "convergence":
+                _check_rate_meshes(config.mesh_ns)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -100,25 +100,25 @@ class TetMesh:
     tets: np.ndarray         # (nt, 4) vertex ids, positively oriented
 
     def __post_init__(self):
-        verts = np.ascontiguousarray(self.vertices, dtype=float)
-        tets = np.ascontiguousarray(self.tets, dtype=np.int64)
+        # copies, so freezing them leaves the caller's arrays writeable
+        verts = np.array(self.vertices, dtype=float, order="C")
+        tets = np.array(self.tets, dtype=np.int64, order="C")
         if len(tets) == 0:
             raise ValueError("mesh contains no tetrahedra")
+        corners = verts[tets]
+        diam = np.sqrt(((corners[:, :, None] - corners[:, None]) ** 2).sum(-1)).max(axis=(1, 2))
         vols = _signed_volumes(verts, tets)
-        if np.any(np.abs(vols) < 1e-300):
-            raise ValueError("mesh contains a degenerate (zero volume) tetrahedron")
-        flip = vols < 0.0
-        if np.any(flip):
-            tets = tets.copy()
-            rows = np.flatnonzero(flip)
-            tets[rows, 2], tets[rows, 3] = tets[rows, 3].copy(), tets[rows, 2].copy()
+        if np.any(np.abs(vols) <= 1e-12 * diam ** 3):
+            raise ValueError("mesh contains a degenerate tetrahedron (|volume| <= 1e-12 diameter^3)")
+        rows = np.flatnonzero(vols < 0.0)
+        tets[rows, 2], tets[rows, 3] = tets[rows, 3].copy(), tets[rows, 2].copy()
         verts.flags.writeable = False
         tets.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "tets", tets)
-        self._build_topology()
+        self._build_topology(diam)
 
-    def _build_topology(self):
+    def _build_topology(self, diam):
         tets = self.tets
         nt = len(tets)
 
@@ -140,11 +140,6 @@ class TetMesh:
         key = edges[:, 0] * (self.vertices.shape[0] + 1) + edges[:, 1]
         bkey = np.unique(bedge_rows[:, 0] * (self.vertices.shape[0] + 1) + bedge_rows[:, 1])
         boundary_edges = np.searchsorted(key, bkey)
-
-        diffs = self.vertices[tets[:, 1:]] - self.vertices[tets[:, :1]]
-        corners = self.vertices[tets]
-        pair_d = corners[:, :, None, :] - corners[:, None, :, :]
-        diam = np.sqrt((pair_d ** 2).sum(-1)).max(axis=(1, 2))
 
         for name, value in [
             ("edges", edges), ("faces", faces),

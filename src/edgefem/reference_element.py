@@ -1,4 +1,4 @@
-"""Curl-conforming reference bases (orders 1 and 2) and their orientation transforms.
+"""Curl-conforming reference bases (orders 1 and 2) and their orientation table.
 
 Shape functions live on the reference tetrahedron K = conv{0, e1, e2, e3} and
 span  P_{k-1}^3  (+)  {p in ~P_k^3 : x . p = 0}   (6 dofs for k=1, 20 for k=2).
@@ -11,15 +11,17 @@ Degrees of freedom are tangential moments:
 
 where T is the unit triangle and d1 = x_b - x_a, d2 = x_c - x_a.  The same
 functionals evaluated with globally ascending vertex ids are element
-independent, which is what makes the assembled space tangentially continuous;
-:func:`orientation_key` captures the per-element change of frame between the
-local canonical functionals and the global ones.
+independent, which is what makes the assembled space tangentially continuous.
+The change from the local canonical functionals to the global ones depends
+only on how an element's four vertex ids rank; :func:`orientation_table`
+applies the functionals once per ranking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -27,13 +29,12 @@ from .quadrature import _gl01
 
 __all__ = [
     "CurlBasis",
-    "OrientationKey",
     "LOCAL_EDGES",
     "LOCAL_FACES",
+    "RANKINGS",
     "REF_VERTICES",
     "curl_basis",
-    "orientation_key",
-    "dof_transform",
+    "orientation_table",
 ]
 
 REF_VERTICES = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -156,8 +157,8 @@ def _edge_moment(vecfun, a, b, moment, n=8):
     pts = REF_VERTICES[a] + np.outer(s, d)
     vals = vecfun(pts) @ d
     if moment == 1:
-        vals = vals * (2.0 * s - 1.0)
-    return float(np.dot(w, vals))
+        vals = (vals.T * (2.0 * s - 1.0)).T
+    return np.dot(w, vals)
 
 
 def _face_moment(vecfun, a, b, c, direction, n=6):
@@ -165,9 +166,7 @@ def _face_moment(vecfun, a, b, c, direction, n=6):
     d2 = REF_VERTICES[c] - REF_VERTICES[a]
     st, w = _tri_rule(n)
     pts = REF_VERTICES[a] + st[:, :1] * d1 + st[:, 1:] * d2
-    dvec = d1 if direction == 0 else d2
-    vals = vecfun(pts) @ dvec
-    return float(np.dot(w, vals))
+    return np.dot(w, vecfun(pts) @ (d1 if direction == 0 else d2))
 
 
 @dataclass(frozen=True)
@@ -206,13 +205,14 @@ def _dof_entities(order):
     return tuple(ents)
 
 
-def _apply_functional(ent, vecfun):
+def _apply_functional(ent, vecfun, rank=(0, 1, 2, 3)):
+    """Dof functional ``ent`` of ``vecfun`` ((N, 3) points to (N, 3) or (N, m, 3)
+    values), the entity's vertices taken in ascending ``rank``."""
     kind, idx, moment = ent
+    verts = sorted(LOCAL_EDGES[idx] if kind == "edge" else LOCAL_FACES[idx], key=rank.__getitem__)
     if kind == "edge":
-        a, b = LOCAL_EDGES[idx]
-        return _edge_moment(vecfun, a, b, moment)
-    a, b, c = LOCAL_FACES[idx]
-    return _face_moment(vecfun, a, b, c, moment)
+        return _edge_moment(vecfun, *verts, moment)
+    return _face_moment(vecfun, *verts, moment)
 
 
 @lru_cache(maxsize=None)
@@ -259,46 +259,21 @@ def curl_basis(order: int) -> CurlBasis:
 
 # -- orientation ---------------------------------------------------------------
 
-_FACE_CORNER_COORDS = {0: np.array([0, 0]), 1: np.array([1, 0]), 2: np.array([0, 1])}
+RANKINGS = tuple(permutations(range(4)))   # rank of each local vertex's global id
 
 
-@dataclass(frozen=True)
-class OrientationKey:
-    """Per-element frame change from canonical local dofs to global dofs.
+@lru_cache(maxsize=None)
+def orientation_table(order: int) -> np.ndarray:
+    """(24, n, n) dof transforms X; entry r serves elements whose vertex ids rank as ``RANKINGS[r]``.
 
-    ``edge_signs[e]`` is +1 when local edge (a, b) already runs from the
-    smaller to the larger global vertex id.  ``face_maps[f]`` expresses the
-    globally ascending face frame in the canonical local frame (rows are the
-    global directions); entries are in {-1, 0, 1}.
+    ``phi_global_j = sum_m phi_local_m X[m, j]`` with ``X = inv(C)``, where ``C[i, j]`` is
+    functional i, its entity's vertices in ascending id, of local basis function j.  C holds
+    edge signs and unimodular face-frame changes: integers up to round-off.
     """
-
-    edge_signs: np.ndarray     # (6,) ints
-    face_maps: np.ndarray      # (4, 2, 2) ints
-
-
-def orientation_key(tet_vertex_ids) -> OrientationKey:
-    gid = np.asarray(tet_vertex_ids)
-    if len(set(gid.tolist())) != 4:
-        raise ValueError("tet must have 4 distinct vertex ids")
-    signs = np.array([1 if gid[a] < gid[b] else -1 for a, b in LOCAL_EDGES], dtype=int)
-    face_maps = np.zeros((4, 2, 2), dtype=int)
-    for f, (a, b, c) in enumerate(LOCAL_FACES):
-        order = sorted(range(3), key=lambda i: gid[(a, b, c)[i]])
-        p0, p1, p2 = (_FACE_CORNER_COORDS[i] for i in order)
-        face_maps[f, 0] = p1 - p0
-        face_maps[f, 1] = p2 - p0
-    return OrientationKey(signs, face_maps)
-
-
-def dof_transform(key: OrientationKey, basis: CurlBasis) -> np.ndarray:
-    """Matrix X with  phi_global_j = sum_m phi_local_m X[m, j]  on one element."""
-    n = basis.n_dofs
-    C = np.zeros((n, n))
-    for i, (kind, idx, moment) in enumerate(basis.dof_entities):
-        if kind == "edge":
-            C[i, i] = key.edge_signs[idx] if moment == 0 else 1.0
-        else:
-            base = next(k for k, ent in enumerate(basis.dof_entities) if ent == ("face", idx, 0))
-            C[base + moment, base] = key.face_maps[idx, moment, 0]
-            C[base + moment, base + 1] = key.face_maps[idx, moment, 1]
-    return np.linalg.inv(C)
+    basis = curl_basis(order)
+    table = np.empty((len(RANKINGS), basis.n_dofs, basis.n_dofs))
+    for r, rank in enumerate(RANKINGS):
+        C = np.array([_apply_functional(ent, basis.eval_many, rank) for ent in basis.dof_entities])
+        table[r] = np.linalg.inv(np.rint(C))
+    table.flags.writeable = False
+    return table

@@ -33,13 +33,7 @@ class SolverBreakdown(RuntimeError):
 
 
 def _field_from(system: SparseSystem, reduced: np.ndarray) -> SolutionField:
-    return SolutionField(
-        mesh=system.mesh,
-        order=system.order,
-        dofs=system.expand(reduced),
-        gdof=system.gdof,
-        orientations=system.orientations,
-    )
+    return SolutionField(system.mesh, system.order, system.expand(reduced))
 
 
 def solve(system: SparseSystem, tol: float = 1e-10, max_iter: Optional[int] = None

@@ -17,9 +17,8 @@ from edgefem.analysis import (
     records_to_csv,
     shrunk_quadratic_map,
     smooth_random_field,
-    _field,
 )
-from edgefem.assembly import Coefficients, MatrixField, QuadratureConfig
+from edgefem.assembly import Coefficients, MatrixField, QuadratureConfig, SolutionField
 from edgefem.mesh import structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule, rule_for_degree, tensorized_gl
@@ -73,7 +72,7 @@ def test_interpolant_of_constant_is_exact():
     mesh = structured_cube_mesh(2)
     const = lambda pts: np.broadcast_to(np.array([1.0, -2.0, 0.5]), (len(pts), 3))
     dofs = interpolate(mesh, 1, const)
-    sol = _field(mesh, 1, dofs)
+    sol = SolutionField(mesh, 1, dofs)
     zero_curl = lambda pts: np.zeros((len(pts), 3))
     rec = hcurl_error(sol, (const, zero_curl), quad_degree=6)
     assert rec.l2_error <= 1e-12
@@ -103,7 +102,7 @@ def test_interpolant_of_in_space_linear_field_is_exact(order):
             return np.zeros((len(np.atleast_2d(pts)), 3))
 
     dofs = interpolate(mesh, order, lin)
-    sol = _field(mesh, order, dofs)
+    sol = SolutionField(mesh, order, dofs)
     rec = hcurl_error(sol, (lin, lin_curl), quad_degree=2 * order + 4)
     assert rec.l2_error <= 1e-12
     assert rec.curl_error <= 1e-12
@@ -113,7 +112,7 @@ def test_zero_solution_error_closed_form():
     # ||E||^2 = 512/225 and ||curl E||^2 = 512/45 for the catalog field
     prob = catalog("cube_poly")
     mesh = structured_cube_mesh(2)
-    zero = _field(mesh, 1, np.zeros(mesh.n_edges))
+    zero = SolutionField(mesh, 1, np.zeros(mesh.n_edges))
     rec = hcurl_error(zero, (prob.exact, prob.exact_curl), quad_degree=8, n=2, dofs=26)
     assert rec.l2_error ** 2 == pytest.approx(512.0 / 225.0, rel=1e-12)
     assert rec.curl_error ** 2 == pytest.approx(512.0 / 45.0, rel=1e-12)
@@ -131,7 +130,7 @@ def test_zero_solution_error_closed_form():
 def test_hcurl_error_determinism_and_degree_guard():
     prob = catalog("cube_poly")
     mesh = structured_cube_mesh(2)
-    zero = _field(mesh, 1, np.zeros(mesh.n_edges))
+    zero = SolutionField(mesh, 1, np.zeros(mesh.n_edges))
     r1 = hcurl_error(zero, (prob.exact, prob.exact_curl), quad_degree=8)
     r2 = hcurl_error(zero, (prob.exact, prob.exact_curl), quad_degree=8)
     assert r1.l2_error == r2.l2_error and r1.curl_error == r2.curl_error

@@ -6,6 +6,8 @@ from edgefem.assembly import (
     MatrixField,
     QuadratureConfig,
     VectorField,
+    _dof_layout,
+    _orientation_transforms,
     _term_blocks,
     assemble,
     dump_matrix,
@@ -255,6 +257,12 @@ def test_order2_dof_layout_and_pec():
     # constrained: both moments of all boundary edges and boundary faces
     n_con = 2 * len(mesh.boundary_edges) + 2 * len(mesh.boundary_faces)
     assert system.constrained.sum() == n_con
+    loop_mask = np.zeros(expected, dtype=bool)
+    for e in mesh.boundary_edges:
+        loop_mask[2 * e] = loop_mask[2 * e + 1] = True
+    for f in mesh.boundary_faces:
+        loop_mask[2 * mesh.n_edges + 2 * f] = loop_mask[2 * mesh.n_edges + 2 * f + 1] = True
+    assert np.array_equal(system.constrained, loop_mask)
     dense = system.matrix.toarray()
     assert np.linalg.eigvalsh(dense).min() > 0.0
 
@@ -268,10 +276,12 @@ def test_solution_field_eval_consistency():
     basis = curl_basis(1)
     tets = [3, 11]
     vals_vec, curls_vec = field.eval_elements(tet_geometry(mesh, tets, PT15), tets)
+    X = _orientation_transforms(mesh, basis)
+    _, gdof, _ = _dof_layout(mesh, 1)
     for row, tet in enumerate(tets):
         corners = mesh.vertices[mesh.tets[tet]]
         jac = (corners[1:] - corners[0]).T
-        local = field.orientations[tet] @ field.dofs[field.gdof[tet]]
+        local = X[tet] @ field.dofs[gdof[tet]]
         for p, ref in enumerate(PT15.points):
             v = (local @ basis.eval_many(ref[None])[0]) @ np.linalg.inv(jac)
             c = jac @ (local @ basis.curl_many(ref[None])[0]) / np.linalg.det(jac)

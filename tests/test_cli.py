@@ -4,6 +4,8 @@ import time
 import numpy as np
 import pytest
 
+from edgefem.analysis import consistency_probe
+from edgefem.assembly import QuadratureConfig
 from edgefem.cli import (
     ExperimentConfig,
     main,
@@ -169,6 +171,27 @@ def test_main_rejects_unknown_keys(tmp_path, capsys):
     assert main(["probe", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert "mesh_ns" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.dat"))
+
+
+def test_rate_studies_reject_two_meshes_up_front(tmp_path, capsys):
+    # a rate fit needs three meshes: fail before the first level, not after all of them
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"kind": "consistency", "mesh_ns": [2, 4]}))
+    assert main(["probe", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "mesh_ns" in capsys.readouterr().err
+    path.write_text(json.dumps({"problem": "cube_poly", "mesh_ns": [2, 3]}))
+    assert main(["convergence", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "mesh_ns" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.dat"))
+
+    config = QuadratureConfig(*(builtin_rule("pt1_centroid"),) * 3)
+    with pytest.raises(ValueError, match="mesh_ns"):
+        consistency_probe(1, [2, 4], catalog("cube_poly").coefficients, config,
+                          builder=lambda n: pytest.fail("a level was computed"))
+
+    # no rate is fitted in a preasymptotic run, so two meshes are enough
+    path.write_text(json.dumps({"problem": "cube_poly", "mesh_ns": [1, 2]}))
+    assert main(["preasymptotic", "--config", str(path), "--out", str(tmp_path)]) == 0
 
 
 def test_main_requires_config(tmp_path):

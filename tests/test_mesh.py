@@ -97,6 +97,24 @@ def test_degenerate_tet_rejected():
         TetMesh(verts, np.array([[0, 1, 2, 3]]))
 
 
+def test_sliver_rejected_relative_to_size():
+    # unit-size tet of volume 1.7e-15: far above any absolute cutoff, but
+    # |volume| / diameter^3 is 5e-16 (a Kuhn tet has 0.032)
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 1e-14]])
+    with pytest.raises(ValueError, match="degenerate"):
+        TetMesh(verts, np.array([[0, 1, 2, 3]]))
+    TetMesh(1e-6 * REF_VERTICES, np.array([[0, 1, 2, 3]]))   # small is not degenerate
+
+
+def test_mesh_leaves_caller_arrays_writeable():
+    verts, tets = REF_VERTICES.copy(), np.array([[0, 1, 2, 3]])
+    mesh = TetMesh(verts, tets)
+    assert verts.flags.writeable and tets.flags.writeable
+    assert not mesh.vertices.flags.writeable and not mesh.tets.flags.writeable
+    verts[0, 0] = 5.0
+    assert mesh.vertices[0, 0] == 0.0
+
+
 def test_negative_orientation_fixed_on_load():
     verts = REF_VERTICES.copy()
     mesh = TetMesh(verts, np.array([[0, 2, 1, 3]]))   # negatively oriented input

@@ -1,16 +1,18 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
 from edgefem.analysis import shrunk_quadratic_map
+from edgefem.assembly import _orientation_transforms
 from edgefem.mesh import QuadGeometry, TetMesh, all_affine_data
 from edgefem.reference_element import (
     LOCAL_EDGES,
     LOCAL_FACES,
     REF_VERTICES,
     curl_basis,
-    dof_transform,
-    orientation_key,
+    orientation_table,
 )
 
 from conftest import fd_curl, point_rule, random_tet, tet_geometry
@@ -137,19 +139,25 @@ def test_curved_piola_curl_commutes_with_fd_oracle():
         assert np.abs(fd.real - pc[:, m, :]).max() <= 1e-5
 
 
-def test_orientation_key_examples():
-    key = orientation_key((0, 1, 2, 3))
-    assert np.all(key.edge_signs == 1)
-    key = orientation_key((3, 2, 1, 0))
-    assert np.all(key.edge_signs == -1)
-    with pytest.raises(ValueError):
-        orientation_key((1, 1, 2, 3))
+def test_orientation_transforms_examples():
+    tet = np.array([[0, 1, 2, 3]])
+    for order in (1, 2):
+        # local order already ascending in the global ids: no change of frame
+        X = _orientation_transforms(TetMesh(REF_VERTICES, tet), curl_basis(order))
+        assert np.array_equal(X[0], np.eye(curl_basis(order).n_dofs))
+    # descending ids reverse every edge; the same corners stay positively oriented
+    mesh = TetMesh(REF_VERTICES[::-1], tet[:, ::-1])
+    assert np.array_equal(mesh.tets[0], [3, 2, 1, 0])
+    assert np.array_equal(_orientation_transforms(mesh, curl_basis(1))[0], -np.eye(6))
 
 
-def test_orientation_face_maps_are_unimodular():
-    key = orientation_key((7, 2, 9, 4))
-    for f in range(4):
-        assert abs(round(np.linalg.det(key.face_maps[f]))) == 1
+@pytest.mark.parametrize("order", [1, 2])
+def test_orientation_table_entries_are_unimodular(order):
+    table = orientation_table(order)
+    assert table.shape == (24, curl_basis(order).n_dofs, curl_basis(order).n_dofs)
+    for X in table:
+        assert np.array_equal(X, np.rint(X))
+        assert abs(np.linalg.det(X)) == pytest.approx(1.0, abs=1e-12)
 
 
 def _pushed_values(mesh, tet, basis, phys_pts):
@@ -160,7 +168,7 @@ def _pushed_values(mesh, tet, basis, phys_pts):
 
 
 def _global_basis_at(mesh, tet, basis, phys_pts):
-    X = dof_transform(orientation_key(mesh.tets[tet]), basis)
+    X = _orientation_transforms(mesh, basis)[tet]
     return np.einsum("nmc,md->ndc", _pushed_values(mesh, tet, basis, phys_pts), X)
 
 
@@ -173,38 +181,37 @@ def _global_entities(mesh, tet, basis):
     return ents
 
 
-def test_shared_edge_tangential_direction(rng):
-    # two tets sharing global edge {7, 9} assign the shared dof the same
-    # 7 -> 9 tangential moment: brute-force continuity along the edge
-    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.1, 0.0], [0.2, 1.0, 0.1],
-                      [0.1, 0.2, 1.1], [1.0, 1.0, 1.0]])
-    gid_of = {0: 7, 1: 9, 2: 3, 3: 5, 4: 11}
-    mesh = TetMesh(verts, np.array([[0, 1, 2, 3], [1, 0, 4, 3]]))
+def test_shared_edge_tangential_direction():
+    # two tets sharing edge {2, 3}, whose local orders list it as 2 -> 3 and
+    # 3 -> 2, assign the shared dof the same 2 -> 3 tangential moment:
+    # brute-force continuity along the edge
+    verts = np.array([[0.2, 1.0, 0.1], [0.1, 0.2, 1.1], [0.0, 0.0, 0.0],
+                      [1.0, 0.1, 0.0], [1.0, 1.0, 1.0]])
+    mesh = TetMesh(verts, np.array([[2, 3, 0, 1], [3, 2, 4, 1]]))
     basis = curl_basis(1)
-    t = verts[1] - verts[0]
-    pts = verts[0] + np.outer(np.linspace(0.1, 0.9, 7), t)
+    t = verts[3] - verts[2]
+    pts = verts[2] + np.outer(np.linspace(0.1, 0.9, 7), t)
 
     tangentials = []
     for tet in (0, 1):
-        gids = [gid_of[v] for v in mesh.tets[tet]]
-        X = dof_transform(orientation_key(gids), basis)
-        gvals = np.einsum("nmc,md->ndc", _pushed_values(mesh, tet, basis, pts), X)
-        ents = []
-        for kind, idx, mom in basis.dof_entities:
-            a, b = LOCAL_EDGES[idx]
-            ents.append(tuple(sorted((gids[a], gids[b]))))
-        shared = ents.index((7, 9))
-        tangentials.append(gvals[:, shared, :] @ t)
+        shared = _global_entities(mesh, tet, basis).index(("edge", (2, 3), 0))
+        tangentials.append(_global_basis_at(mesh, tet, basis, pts)[:, shared, :] @ t)
     assert np.abs(tangentials[0] - tangentials[1]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("perm", [(0, 1, 2, 3), (3, 0, 2, 1), (2, 3, 1, 0)])
+@pytest.mark.parametrize("perm", list(permutations(range(4))))
 def test_conformity_across_shared_face(order, perm, rng):
-    verts = np.array([[0.0, 0.0, 0.0], [1.1, 0.0, 0.0], [0.1, 1.2, 0.0],
-                      [0.2, 0.1, 1.3], [1.0, 1.0, 1.0]])
-    tet_a = tuple(np.array([0, 1, 2, 3])[list(perm)])
-    mesh = TetMesh(verts, np.array([tet_a, (1, 2, 3, 4)]))
+    # corner i gets id ids[i], so the first tet's ids rank as perm: every entry
+    # of the orientation table meets the tangential-jump oracle.  The second
+    # tet lists the shared face's corners in another local order.
+    corners = np.array([[0.0, 0.0, 0.0], [1.1, 0.0, 0.0], [0.1, 1.2, 0.0],
+                        [0.2, 0.1, 1.3], [1.0, 1.0, 1.0]])
+    ids = np.array(perm + (4,))
+    verts = np.empty_like(corners)
+    verts[ids] = corners
+    mesh = TetMesh(verts, np.array([ids[:4], ids[[3, 1, 4, 2]]]))
+    assert np.array_equal(np.argsort(np.argsort(mesh.tets[0])), perm)
     basis = curl_basis(order)
 
     shared = set(map(tuple, np.sort(mesh.tets[0][list(LOCAL_FACES)], axis=1).tolist()))

@@ -31,8 +31,6 @@ def synthetic_system(A, b):
         constrained=np.zeros(n, dtype=bool),
         n_free=n,
         free_index=np.arange(n),
-        gdof=base.gdof * 0,            # field reconstruction not used in these tests
-        orientations=base.orientations[:, :1, :1] * 0 + np.eye(1),
     )
 
 
