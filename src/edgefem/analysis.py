@@ -20,12 +20,13 @@ from .assembly import (
     SolutionField,
     _chunks,
     _dof_layout,
+    _integrand,
     evaluate_forms,
     reference_config,
 )
-from .mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data, curved_map
-from .quadrature import RefQuadratureRule, _gl01, rule_for_degree, tensorized_gl
-from .reference_element import curl_basis
+from .mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data, structured_cube_mesh
+from .quadrature import RefQuadratureRule, _gl01, builtin_rule, rule_for_degree, tensorized_gl
+from .reference_element import LOCAL_EDGES, REF_VERTICES, _tri_rule, curl_basis
 
 __all__ = [
     "ErrorRecord",
@@ -80,12 +81,9 @@ def fit_rate(records, x_axis: str = "dofs", window: int = 0) -> RateFit:
     ``window`` keeps only the last that many records (0 = all); at least
     three points are required.
     """
-    if x_axis == "h":
-        xs = [r.h for r in records]
-    elif x_axis == "dofs":
-        xs = [r.dofs for r in records]
-    else:
+    if x_axis not in ("h", "dofs"):
         raise ValueError("x_axis must be 'h' or 'dofs'")
+    xs = [getattr(r, x_axis) for r in records]
     ys = [r.hcurl_error for r in records]
     if window:
         xs, ys = xs[-window:], ys[-window:]
@@ -174,8 +172,6 @@ def interpolate(mesh: TetMesh, order: int, field) -> np.ndarray:
     out[0: 2 * mesh.n_edges: 2] = mom0
     out[1: 2 * mesh.n_edges: 2] = np.einsum("l,elc,ec->e", w * (2.0 * s - 1.0), vals, d)
 
-    from .reference_element import _tri_rule
-
     st, tw = _tri_rule(6)
     fa = mesh.vertices[mesh.faces[:, 0]]
     d1 = mesh.vertices[mesh.faces[:, 1]] - fa
@@ -214,10 +210,10 @@ def probe_field(mesh: TetMesh, order: int, seed: int) -> np.ndarray:
 
 
 def consistency_error(mesh: TetMesh, order: int, coeffs: Coefficients, config: QuadratureConfig,
-                      U_dofs, V_dofs, ref_degree: int = 10):
+                      U_dofs, V_dofs):
     """|Phi - Phi_h| and |F - F_h| between the configured and reference rules."""
     phi_h, load_h = evaluate_forms(mesh, order, coeffs, config, U_dofs, V_dofs)
-    phi, load = evaluate_forms(mesh, order, coeffs, reference_config(ref_degree), U_dofs, V_dofs)
+    phi, load = evaluate_forms(mesh, order, coeffs, reference_config(), U_dofs, V_dofs)
     return abs(phi - phi_h), abs(load - load_h)
 
 
@@ -228,8 +224,6 @@ def consistency_probe(order: int, mesh_ns, coeffs: Coefficients, config: Quadrat
     Returns (rows, fit) where each row is (n, h, |Phi - Phi_h|, |F - F_h|) and
     the fit is the log-log slope of the sesquilinear gap against h.
     """
-    from .mesh import structured_cube_mesh
-
     _check_rate_meshes(mesh_ns)
     builder = builder or structured_cube_mesh
     seed = seed or DEFAULT_SEED
@@ -247,63 +241,51 @@ def consistency_probe(order: int, mesh_ns, coeffs: Coefficients, config: Quadrat
 
 # -- curved single-element probe -------------------------------------------------
 
-def shrunk_quadratic_map(s: float, offsets=None) -> CurvedMap:
+# mid-edge bumps of the shrunk family: local edge -> offset, scaled by s^2
+_BUMPS = {0: np.array([0.0, 0.12, 0.10]), 5: np.array([0.14, 0.0, -0.08])}
+
+# the curved probe's modes and the form terms they measure
+_CURVED_KINDS = {"mass": "mass", "curlcurl": "curl", "load": "load"}
+
+
+def _curved_kind(mode: str) -> str:
+    """The term kind a curved-probe mode measures; ValueError naming an unknown mode."""
+    if mode not in _CURVED_KINDS:
+        raise ValueError(f"curved probe mode must be one of {sorted(_CURVED_KINDS)}, got {mode!r}")
+    return _CURVED_KINDS[mode]
+
+
+def shrunk_quadratic_map(s: float) -> CurvedMap:
     """A quadratic element of size s whose mid-edge bumps scale like s^2.
 
     The s^2 scaling keeps the family regular in the mapping sense (second
     derivatives of the map decay like the squared element size, as for meshes
     of a fixed smooth boundary).
     """
-    from .reference_element import LOCAL_EDGES, REF_VERTICES
-
-    if offsets is None:
-        offsets = {0: np.array([0.0, 0.12, 0.10]), 5: np.array([0.14, 0.0, -0.08])}
     ctrl = [s * v for v in REF_VERTICES]
     for k, (a, b) in enumerate(LOCAL_EDGES):
         mid = s * (REF_VERTICES[a] + REF_VERTICES[b]) / 2.0
-        if k in offsets:
-            mid = mid + s * s * np.asarray(offsets[k], float)
+        if k in _BUMPS:
+            mid = mid + s * s * _BUMPS[k]
         ctrl.append(mid)
-    return curved_map(np.array(ctrl))
+    return CurvedMap(np.array(ctrl))
 
 
-def curved_local_error(cmap: CurvedMap, coeff, rule: RefQuadratureRule, order: int,
-                       mode: str, u_ref=None, v_ref=None, ref_rule=None) -> float:
+def curved_local_error(cmap: CurvedMap, coeff, rule: RefQuadratureRule, order: int, mode: str) -> float:
     """Quadrature error of one form term on a single curved element.
 
-    ``coeff`` is a MatrixField for modes 'mass' and 'curlcurl', a VectorField
-    for 'load'.  Test/trial fields are reference dof vectors of the order-k
-    basis pushed through the curved covariant Piola map.  The reference value
-    integrates the same integrand with a high-degree certified tensor rule
-    through the same map.
+    ``coeff`` is a matrix field for modes 'mass' and 'curlcurl', a vector field
+    for 'load'.  The integrand is the consistency probe's, for fixed reference
+    dof vectors; the reference value integrates it with a high-degree
+    certified tensor rule through the same map.
     """
+    kind = _curved_kind(mode)
     basis = curl_basis(order)
-    if u_ref is None:
-        u_ref = np.cos(1.0 + np.arange(basis.n_dofs))
-    if v_ref is None:
-        v_ref = np.sin(2.0 + 0.7 * np.arange(basis.n_dofs))
-    if ref_rule is None:
-        ref_rule = tensorized_gl(10)
-
-    if mode not in ("mass", "curlcurl", "load"):
-        raise ValueError("mode must be 'mass', 'curlcurl' or 'load'")
-
-    def term(rule_):
-        geo = QuadGeometry.curved(rule_, cmap)
-        if mode == "curlcurl":
-            table, push = basis.curl_many(rule_.points), geo.contravariant
-        else:
-            table, push = basis.eval_many(rule_.points), geo.covariant
-        v = push(np.einsum("m,lmc->lc", v_ref, table)[None])[0]
-        coef = np.asarray(coeff(geo.points[0]))
-        if mode == "load":
-            g = np.einsum("lp,lp->l", coef, v.conj())
-        else:
-            u = push(np.einsum("m,lmc->lc", u_ref, table)[None])[0]
-            g = np.einsum("lpq,lq,lp->l", coef, u, v.conj())
-        return complex(np.dot(geo.weights[0], g))
-
-    return abs(term(ref_rule) - term(rule))
+    u = np.cos(1.0 + np.arange(basis.n_dofs))[None]
+    v = np.sin(2.0 + 0.7 * np.arange(basis.n_dofs))[None]
+    exact, approx = (_integrand(QuadGeometry.curved(r, cmap), kind, coeff, basis, u, v)
+                     for r in (tensorized_gl(10), rule))
+    return float(abs(exact - approx))
 
 
 def probe_matrix_field(pts):
@@ -326,11 +308,12 @@ def probe_vector_field(pts):
     ])
 
 
-def curved_rule_degree(mode: str, order: int, m: int, map_degree: int = 2) -> int:
-    """Exactness threshold of the curved local error lemma for one form term."""
-    if mode == "curlcurl":
-        return order + map_degree + m - 3
-    return order + 2 * map_degree + m - 3
+def curved_rule_degree(mode: str, order: int, m: int) -> int:
+    """Exactness threshold of the curved local error lemma for one form term
+    (map degree r = 2: k + r + m - 3 for curl-curl, k + 2r + m - 3 otherwise)."""
+    if _curved_kind(mode) == "curl":
+        return order + m - 1
+    return order + m + 1
 
 
 def curved_probe(mode: str, order: int, m: int, below: bool = False,
@@ -340,8 +323,6 @@ def curved_probe(mode: str, order: int, m: int, below: bool = False,
     Returns (rows, fit): rows are (s, error); the fit is the log-log slope of
     the error against the shrink factor s.
     """
-    from .quadrature import builtin_rule
-
     degree = curved_rule_degree(mode, order, m) - (1 if below else 0)
     if degree < 0:
         raise ValueError("rule degree below zero; nothing to probe")

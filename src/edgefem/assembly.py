@@ -42,54 +42,40 @@ __all__ = [
 _CHUNK_BUDGET = 3_000_000   # floats per pushed-basis scratch block
 
 
-class MatrixField:
-    """A (possibly constant) field of complex symmetric 3x3 matrices."""
+class _Field:
+    """A (possibly constant) field of complex values of shape ``shape`` per point."""
 
     def __init__(self, value):
-        if callable(value):
-            self.constant = None
-            self._fn = value
-        else:
-            mat = np.asarray(value, dtype=complex)
-            if mat.shape == ():
-                mat = mat * np.eye(3)
-            if mat.shape != (3, 3):
-                raise ValueError("constant coefficient must be scalar or 3x3")
-            self.constant = mat
-            self._fn = None
+        self.constant, self._fn = None, value
+        if not callable(value):
+            val = np.asarray(value, dtype=complex)
+            if val.shape == () and len(self.shape) == 2:
+                val = val * np.eye(3)
+            if val.shape != self.shape:
+                raise ValueError(f"constant {type(self).__name__} must have shape {self.shape}")
+            self.constant, self._fn = val, None
 
     def __call__(self, pts):
         pts = np.atleast_2d(pts)
+        shape = (len(pts),) + self.shape
         if self.constant is not None:
-            return np.broadcast_to(self.constant, (len(pts), 3, 3))
+            return np.broadcast_to(self.constant, shape)
         out = np.asarray(self._fn(pts), dtype=complex)
-        if out.shape != (len(pts), 3, 3):
-            raise ValueError("matrix field must return (N, 3, 3)")
+        if out.shape != shape:
+            raise ValueError(f"{type(self).__name__} must return {shape}, got {out.shape}")
         return out
 
 
-class VectorField:
-    """A (possibly constant) field of complex 3-vectors."""
+class MatrixField(_Field):
+    """A field of complex symmetric 3x3 matrices; a scalar constant means that multiple of I."""
 
-    def __init__(self, value):
-        if callable(value):
-            self.constant = None
-            self._fn = value
-        else:
-            vec = np.asarray(value, dtype=complex)
-            if vec.shape != (3,):
-                raise ValueError("constant current must be a 3-vector")
-            self.constant = vec
-            self._fn = None
+    shape = (3, 3)
 
-    def __call__(self, pts):
-        pts = np.atleast_2d(pts)
-        if self.constant is not None:
-            return np.broadcast_to(self.constant, (len(pts), 3))
-        out = np.asarray(self._fn(pts), dtype=complex)
-        if out.shape != (len(pts), 3):
-            raise ValueError("vector field must return (N, 3)")
-        return out
+
+class VectorField(_Field):
+    """A field of complex 3-vectors."""
+
+    shape = (3,)
 
 
 @dataclass(frozen=True)
@@ -200,9 +186,6 @@ class SolutionField:
     order: int
     dofs: np.ndarray              # full layout, constrained entries zero
 
-    def __post_init__(self):
-        self.basis = curl_basis(self.order)
-
     @cached_property
     def local(self) -> np.ndarray:
         """Local coefficients of the physical per-element expansion, (nt, nd)."""
@@ -213,13 +196,37 @@ class SolutionField:
 
         ``geo`` maps its rule to the elements ``tet_indices`` (indices or a slice).
         """
-        w = self.local[tet_indices]                   # (E, nd)
-        v = np.einsum("lmc,em->elc", self.basis.eval_many(geo.rule.points), w)
-        c = np.einsum("lmc,em->elc", self.basis.curl_many(geo.rule.points), w)
-        return geo.covariant(v), geo.contravariant(c)
+        w, basis = self.local[tet_indices], curl_basis(self.order)
+        return _push(geo, "mass", basis, w), _push(geo, "curl", basis, w)
 
 
-# -- element blocks and forms -------------------------------------------------
+# -- the form terms -------------------------------------------------------------
+
+def _terms(coeffs: Coefficients, config: QuadratureConfig):
+    """(kind, rule, coefficient, scale) of the curl-curl, mass and load terms."""
+    return (("curl", config.q1, coeffs.mu_inv, 1.0),
+            ("mass", config.q2, coeffs.eps, -coeffs.omega ** 2),
+            ("load", config.q3, coeffs.current, -1j * coeffs.omega))
+
+
+def _push(geo: QuadGeometry, kind: str, basis: CurlBasis, local=None):
+    """A term's shape data on ``geo``: curls with the contravariant push for 'curl', values with
+    the covariant push otherwise; the whole table (E, L, nd, 3), or the field (E, L, 3) of ``local``."""
+    tabulate, push = (basis.curl_many, geo.contravariant) if kind == "curl" else (basis.eval_many, geo.covariant)
+    table = tabulate(geo.rule.points)
+    return push(table[None] if local is None else np.einsum("lnc,en->elc", table, local))
+
+
+def _integrand(geo: QuadGeometry, kind: str, coeff, basis: CurlBasis, u_local, v_local):
+    """Unscaled value of one term on ``geo``: the sum of w (coeff u) . conj v, or
+    of w coeff . conj v for 'load' (``u_local`` unused), from local coefficients."""
+    c = coeff(geo.points.reshape(-1, 3))
+    v = _push(geo, kind, basis, v_local)
+    if kind == "load":
+        return np.einsum("el,elp,elp->", geo.weights, c.reshape(v.shape), v.conj())
+    u = _push(geo, kind, basis, u_local)
+    return np.einsum("el,elpq,elq,elp->", geo.weights, c.reshape(u.shape + (3,)), u, v.conj())
+
 
 def _chunks(n_items, per_item_cost):
     step = max(1, _CHUNK_BUDGET // max(per_item_cost, 1))
@@ -227,27 +234,20 @@ def _chunks(n_items, per_item_cost):
         yield start, min(start + step, n_items)
 
 
-def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, omega):
-    """Element blocks of one form term for all elements, orientation not applied.
-
-    kind is 'curl', 'mass' or 'load'.
+def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, scale):
+    """Element blocks of one form term for all elements, times ``scale``;
+    orientation not applied.  kind is 'curl', 'mass' or 'load'.
     """
-    L, nd = rule.npoints, basis.n_dofs
-    nt = mesh.n_tets
-    table = (basis.curl_many(rule.points) if kind == "curl" else basis.eval_many(rule.points))[None]
-
-    out = np.zeros((nt, nd, nd), dtype=complex) if kind != "load" else np.zeros((nt, nd), dtype=complex)
-    for lo, hi in _chunks(nt, L * nd * 3):
+    nt, nd = mesh.n_tets, basis.n_dofs
+    out = np.zeros((nt, nd) if kind == "load" else (nt, nd, nd), dtype=complex)
+    for lo, hi in _chunks(nt, rule.npoints * nd * 3):
         geo = QuadGeometry.affine(rule, jac[lo:hi], origin[lo:hi], det[lo:hi], inv[lo:hi])
-        phys = geo.contravariant(table) if kind == "curl" else geo.covariant(table)
-        coeff = coeff_field(geo.points.reshape(-1, 3))
+        phys = _push(geo, kind, basis)
+        coeff = coeff_field(geo.points.reshape(-1, 3)).reshape(phys.shape[:2] + coeff_field.shape)
         if kind == "load":
-            cur = coeff.reshape(hi - lo, L, 3)
-            out[lo:hi] = -1j * omega * np.einsum("el,elp,elip->ei", geo.weights, cur, phys)
+            out[lo:hi] = scale * np.einsum("el,elp,elip->ei", geo.weights, coeff, phys)
         else:
-            mat = coeff.reshape(hi - lo, L, 3, 3)
-            block = np.einsum("el,elip,elpq,eljq->eij", geo.weights, phys, mat, phys)
-            out[lo:hi] = block if kind == "curl" else -omega ** 2 * block
+            out[lo:hi] = scale * np.einsum("el,elip,elpq,eljq->eij", geo.weights, phys, coeff, phys)
     return out
 
 
@@ -259,9 +259,8 @@ def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quadrature
     if np.any(det <= 0):
         raise ValueError("mesh must be positively oriented")
 
-    A = _term_blocks(mesh, basis, config.q1, jac, origin, det, inv, "curl", coeffs.mu_inv, coeffs.omega)
-    M = _term_blocks(mesh, basis, config.q2, jac, origin, det, inv, "mass", coeffs.eps, coeffs.omega)
-    f = _term_blocks(mesh, basis, config.q3, jac, origin, det, inv, "load", coeffs.current, coeffs.omega)
+    A, M, f = (_term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff, scale)
+               for kind, rule, coeff, scale in _terms(coeffs, config))
 
     X = _orientation_transforms(mesh, basis)
     K = np.einsum("emi,emn,enj->eij", X, A + M, X)
@@ -301,26 +300,15 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
     u_loc, v_loc = _local_coefficients(mesh, order, U_dofs, V_dofs)
     affine = all_affine_data(mesh)
 
-    phi = 0.0 + 0.0j
-    load = 0.0 + 0.0j
-    nt = mesh.n_tets
-
-    for kind, rule in (("curl", config.q1), ("mass", config.q2), ("load", config.q3)):
-        L = rule.npoints
-        table = basis.curl_many(rule.points) if kind == "curl" else basis.eval_many(rule.points)
-        for lo, hi in _chunks(nt, L * 4):
+    phi = load = 0.0 + 0.0j
+    for kind, rule, coeff, scale in _terms(coeffs, config):
+        for lo, hi in _chunks(mesh.n_tets, rule.npoints * 4):
             geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in affine))
-            push = geo.contravariant if kind == "curl" else geo.covariant
-            pts = geo.points.reshape(-1, 3)
-            v = push(np.einsum("lnc,en->elc", table, v_loc[lo:hi]))
+            value = scale * _integrand(geo, kind, coeff, basis, u_loc[lo:hi], v_loc[lo:hi])
             if kind == "load":
-                cur = coeffs.current(pts).reshape(hi - lo, L, 3)
-                load += -1j * coeffs.omega * np.einsum("el,elp,elp->", geo.weights, cur, v.conj())
-                continue
-            u = push(np.einsum("lnc,en->elc", table, u_loc[lo:hi]))
-            field, scale = (coeffs.mu_inv, 1.0) if kind == "curl" else (coeffs.eps, -coeffs.omega ** 2)
-            mat = field(pts).reshape(hi - lo, L, 3, 3)
-            phi += scale * np.einsum("el,elpq,elq,elp->", geo.weights, mat, u, v.conj())
+                load += value
+            else:
+                phi += value
     return complex(phi), complex(load)
 
 

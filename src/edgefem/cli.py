@@ -19,6 +19,7 @@ import numpy as np
 from .analysis import (
     DEFAULT_SEED,
     _check_rate_meshes,
+    _curved_kind,
     consistency_probe,
     curved_probe,
     curved_rule_degree,
@@ -61,6 +62,14 @@ def _check_keys(data: dict, allowed) -> dict:
     return data
 
 
+def _lookup(fn, what: str, spec):
+    """``fn(spec)``, with an unknown ``spec`` raised as a ValueError that names it."""
+    try:
+        return fn(spec)
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown {what} {spec!r}") from None
+
+
 @dataclass
 class ExperimentConfig:
     problem: str = "cube_poly"
@@ -78,12 +87,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
+            raise ValueError(f"order must be 1 or 2, got {self.order!r}")
         if not self.mesh_ns:
             self.mesh_ns = list(DEFAULT_MESH_NS[self.order])
         ns = list(self.mesh_ns)
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("mesh_ns must be strictly increasing")
+        if self.fit_window != 0 and self.fit_window < 3:
+            raise ValueError(f"fit_window must be 0 (all meshes) or at least 3, got {self.fit_window}")
+        _lookup(catalog, "problem", self.problem)
+        self.rules()                  # an unknown rule fails here, at load
         if not self.label:
             self.label = f"{self.problem.replace('(', '_').rstrip(')')}_k{self.order}"
 
@@ -92,7 +105,7 @@ class ExperimentConfig:
         return cls(**_check_keys(json.loads(Path(path).read_text()), _CONFIG_KEYS))
 
     def rules(self) -> QuadratureConfig:
-        return QuadratureConfig(resolve_rule(self.q1), resolve_rule(self.q2), resolve_rule(self.q3))
+        return QuadratureConfig(*(_lookup(resolve_rule, f"{q} rule", getattr(self, q)) for q in ("q1", "q2", "q3")))
 
 
 def resolve_rule(spec) -> RefQuadratureRule:
@@ -154,7 +167,7 @@ def run_convergence(config: ExperimentConfig, out_dir):
     records, lines = _sweep(config, out_dir)
     fit = fit_rate(records, "dofs", window=config.fit_window)
     lines += [
-        f"fitted slope vs dofs (last {min(config.fit_window, len(records))}): {fit.slope:.17g}",
+        f"fitted slope vs dofs (last {fit.n_points}): {fit.slope:.17g}",
         f"fit residual: {fit.residual:.17g}",
     ]
     _emit_records(records, config, out_dir, lines)
@@ -181,20 +194,20 @@ def run_preasymptotic(config: ExperimentConfig, out_dir):
     return records, exit_idx
 
 
+def _consistency_inputs(params: dict):
+    """(order, mesh_ns, coefficients, rules) of a consistency probe, defaults filled in."""
+    order, m = params.get("order", 1), params.get("m", 1)
+    entry = _lookup(catalog, "problem", params.get("problem", "cube_oscillatory(1)"))
+    rules = (_lookup(resolve_rule, f"{q} rule", params.get(q, default))
+             for q, default in (("q1", "pt1_centroid"), ("q2", order + m - 1), ("q3", order + m - 1)))
+    return order, params.get("mesh_ns", DEFAULT_PROBE_MESH_NS), entry.coefficients, QuadratureConfig(*rules)
+
+
 def run_probe(kind: str, params: dict, out_dir):
     """Drive the consistency or curved probe and emit data plus fitted slope."""
     out_label = params.get("label", f"probe_{kind}")
     if kind == "consistency":
-        order = params.get("order", 1)
-        m = params.get("m", 1)
-        mesh_ns = params.get("mesh_ns", DEFAULT_PROBE_MESH_NS)
-        problem = params.get("problem", "cube_oscillatory(1)")
-        entry = catalog(problem)
-        q1 = resolve_rule(params.get("q1", "pt1_centroid"))
-        q2 = resolve_rule(params.get("q2", order + m - 1))
-        q3 = resolve_rule(params.get("q3", order + m - 1))
-        rows, fit = consistency_probe(order, mesh_ns, entry.coefficients,
-                                      QuadratureConfig(q1, q2, q3), seed=params.get("seed", DEFAULT_SEED))
+        rows, fit = consistency_probe(*_consistency_inputs(params), seed=params.get("seed", DEFAULT_SEED))
         header = "n h dphi dF"
         body = "\n".join(f"{n} {h:.17g} {dphi:.17g} {dF:.17g}" for n, h, dphi, dF in rows)
         exact = all(r[2] <= 1e-10 for r in rows)
@@ -219,15 +232,19 @@ def run_probe(kind: str, params: dict, out_dir):
 
 
 def _load_probe(path):
-    """(kind, expect_min_slope, params) of a probe config; unknown keys and a
-    consistency ``mesh_ns`` too short to fit a rate are rejected."""
+    """(kind, expect_min_slope, params) of a probe config.  Unknown keys, orders, modes,
+    problems and rules, and a consistency ``mesh_ns`` too short for a rate fit are rejected."""
     params = json.loads(Path(path).read_text())
     kind = params.pop("kind", "consistency")
     if kind not in _PROBE_KEYS:
         raise ValueError(f"unknown probe kind {kind!r}")
     _check_keys(params, _PROBE_KEYS[kind])
+    if params.get("order", 1) not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {params['order']!r}")
     if kind == "consistency":
-        _check_rate_meshes(params.get("mesh_ns", DEFAULT_PROBE_MESH_NS))
+        _check_rate_meshes(_consistency_inputs(params)[1])   # resolves the problem and rules too
+    else:
+        _curved_kind(params.get("mode", "mass"))
     return kind, params.pop("expect_min_slope", None), params
 
 

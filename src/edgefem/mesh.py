@@ -24,7 +24,6 @@ __all__ = [
     "structured_cube_mesh",
     "read_gmsh",
     "write_gmsh",
-    "curved_map",
     "mesh_metrics",
 ]
 
@@ -70,11 +69,10 @@ class CurvedMap:
     """Degree-2 Lagrange map from the reference tet (10 control points)."""
 
     control_points: np.ndarray   # (10, 3)
-    degree: int = 2
 
     def __post_init__(self):
         cp = np.asarray(self.control_points, dtype=float)
-        if self.degree != 2 or cp.shape != (_Q2_NODES, 3):
+        if cp.shape != (_Q2_NODES, 3):
             raise ValueError("curved maps are degree 2 with 10 control points")
         object.__setattr__(self, "control_points", cp)
         sample = np.vstack([_lattice_points(3), [[0.25, 0.25, 0.25]]])
@@ -229,11 +227,6 @@ class QuadGeometry:
         """Push reference curls x, any (E or 1, L, ..., 3) array: x J^T / det J."""
         out = np.einsum("el...c,elpc->el...p", x, self.jac)
         return out / self.det.reshape(self.det.shape + (1,) * (out.ndim - 2))
-
-
-def curved_map(control_points, degree: int = 2) -> CurvedMap:
-    """Degree-2 Lagrange tet map; rejects inverted control configurations."""
-    return CurvedMap(np.asarray(control_points, dtype=float), degree)
 
 
 def structured_cube_mesh(n: int) -> TetMesh:

@@ -190,8 +190,8 @@ def test_curved_local_error_straight_polynomial_exact():
     ctrl = [v * 0.8 for v in REF_VERTICES]
     for a, b in LOCAL_EDGES:
         ctrl.append(0.8 * (REF_VERTICES[a] + REF_VERTICES[b]) / 2.0)
-    from edgefem.mesh import curved_map
-    cmap = curved_map(np.array(ctrl))
+    from edgefem.mesh import CurvedMap
+    cmap = CurvedMap(np.array(ctrl))
     const = MatrixField(2.0 * np.eye(3))
     err = curved_local_error(cmap, const, PT4, 1, "mass")
     assert err <= 1e-11

@@ -7,17 +7,20 @@ from edgefem.assembly import (
     QuadratureConfig,
     VectorField,
     _dof_layout,
+    _integrand,
     _orientation_transforms,
     _term_blocks,
+    _terms,
     assemble,
     dump_matrix,
     evaluate_forms,
     reference_config,
 )
-from edgefem.mesh import TetMesh, all_affine_data, structured_cube_mesh
+from edgefem.analysis import probe_matrix_field, probe_vector_field
+from edgefem.mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data, structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule, tensorized_gl
-from edgefem.reference_element import curl_basis
+from edgefem.reference_element import LOCAL_EDGES, curl_basis
 from edgefem.solver import solve
 
 from conftest import point_rule, random_tet, tet_geometry
@@ -36,10 +39,8 @@ def unit_coeffs(current=np.zeros(3)):
 def element_blocks(mesh, basis, coeffs, config):
     """Curl-curl blocks, mass blocks and load vectors of every element, in local dofs."""
     geometry = all_affine_data(mesh)
-    return tuple(
-        _term_blocks(mesh, basis, rule, *geometry, kind, coeff, coeffs.omega)
-        for rule, kind, coeff in ((config.q1, "curl", coeffs.mu_inv), (config.q2, "mass", coeffs.eps),
-                                  (config.q3, "load", coeffs.current)))
+    return tuple(_term_blocks(mesh, basis, rule, *geometry, kind, coeff, scale)
+                 for kind, rule, coeff, scale in _terms(coeffs, config))
 
 
 def one_tet(verts):
@@ -309,3 +310,27 @@ def test_matrix_field_vector_field_validation():
     fld = MatrixField(lambda pts: np.ones((len(pts), 3)))
     with pytest.raises(ValueError):
         fld(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_curved_integrand_matches_straight_forms_on_affine_map(rng, order):
+    # mid-edge nodes at the edge midpoints make the quadratic map affine, so
+    # the curved probe's integrand, scaled by the term table, must reproduce
+    # the straight-mesh forms on the same tet
+    verts = random_tet(rng)
+    cmap = CurvedMap(np.vstack([verts] + [(verts[a] + verts[b]) / 2.0 for a, b in LOCAL_EDGES]))
+    mesh = one_tet(verts)
+    coeffs = Coefficients(mu_inv=probe_matrix_field, eps=lambda pts: 0.5 * probe_matrix_field(pts),
+                          omega=1.7, current=probe_vector_field)
+    config = QuadratureConfig(PT4, PT5, PT15)
+    basis = curl_basis(order)
+    u, v = rng.standard_normal((2, basis.n_dofs)) + 1j * rng.standard_normal((2, basis.n_dofs))
+    n_dofs, gdof, _ = _dof_layout(mesh, order)
+    U, V = np.zeros(n_dofs, dtype=complex), np.zeros(n_dofs, dtype=complex)
+    U[gdof[0]], V[gdof[0]] = u, v
+    phi, load = evaluate_forms(mesh, order, coeffs, config, U, V)
+
+    curved = {kind: scale * _integrand(QuadGeometry.curved(rule, cmap), kind, coeff, basis, u[None], v[None])
+              for kind, rule, coeff, scale in _terms(coeffs, config)}
+    assert abs(curved["curl"] + curved["mass"] - phi) <= 1e-13 * abs(phi)
+    assert abs(curved["load"] - load) <= 1e-13 * abs(load)

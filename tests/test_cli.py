@@ -4,10 +4,12 @@ import time
 import numpy as np
 import pytest
 
+from edgefem import cli
 from edgefem.analysis import consistency_probe
 from edgefem.assembly import QuadratureConfig
 from edgefem.cli import (
     ExperimentConfig,
+    _load_probe,
     main,
     plateau_exit_index,
     resolve_rule,
@@ -194,6 +196,42 @@ def test_rate_studies_reject_two_meshes_up_front(tmp_path, capsys):
     assert main(["preasymptotic", "--config", str(path), "--out", str(tmp_path)]) == 0
 
 
+def test_convergence_fit_window_checked_at_load(tmp_path, capsys, monkeypatch):
+    # a window of one or two points cannot be fitted, and a negative one fits
+    # the wrong points: both fail before the first level
+    path = tmp_path / "c.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "structured_cube_mesh", lambda n: pytest.fail("a level was computed"))
+        for mesh_ns, window in (([1, 2, 3], 2), ([1, 2, 3, 4], -1)):
+            path.write_text(json.dumps({"problem": "cube_poly", "mesh_ns": mesh_ns, "fit_window": window}))
+            assert main(["convergence", "--config", str(path), "--out", str(tmp_path)]) == 1
+            assert f"fit_window must be 0 (all meshes) or at least 3, got {window}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+    # 0 fits every mesh, and the summary counts the points actually fitted
+    path.write_text(json.dumps({"problem": "cube_poly", "mesh_ns": [1, 2, 3], "fit_window": 0, "label": "all"}))
+    assert main(["convergence", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "fitted slope vs dofs (last 3)" in (tmp_path / "all_summary.txt").read_text()
+
+
+@pytest.mark.parametrize("command, config, named", [
+    ("convergence", {"problem": "cube_poly", "q2": "pt7"}, "'pt7'"),
+    ("convergence", {"problem": "cube_foo"}, "'cube_foo'"),
+    ("probe", {"kind": "consistency", "q2": "pt7"}, "'pt7'"),
+    ("probe", {"kind": "consistency", "problem": "cube_foo"}, "'cube_foo'"),
+    ("probe", {"kind": "consistency", "order": 3}, "order must be 1 or 2, got 3"),
+    ("probe", {"kind": "curved", "mode": "curl"}, "'curl'"),
+], ids=["convergence-rule", "convergence-problem", "consistency-rule", "consistency-problem",
+        "consistency-order", "curved-mode"])
+def test_main_rejects_bad_values_at_load(tmp_path, capsys, command, config, named):
+    # exit 1 with a message naming the value, not a traceback after some levels
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_requires_config(tmp_path):
     assert main(["convergence", "--out", str(tmp_path)]) == 1
 
@@ -208,6 +246,5 @@ def test_shipped_configs_parse():
         cfg = ExperimentConfig.from_json(root / name)
         for spec in (cfg.q1, cfg.q2, cfg.q3):
             assert resolve_rule(spec) is not None
-    for name in ("probe_curved_mass.json", "probe_consistency_m1.json"):
-        params = json.loads((root / name).read_text())
-        assert params.pop("kind") in ("curved", "consistency")
+    for name, kind in (("probe_curved_mass.json", "curved"), ("probe_consistency_m1.json", "consistency")):
+        assert _load_probe(root / name)[0] == kind

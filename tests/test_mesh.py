@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from edgefem.mesh import (
+    CurvedMap,
     QuadGeometry,
     TetMesh,
     all_affine_data,
-    curved_map,
     mesh_metrics,
     read_gmsh,
     structured_cube_mesh,
@@ -130,7 +130,7 @@ def _affine_controls(verts):
 
 def test_curved_map_midpoints_give_affine():
     ctrl = _affine_controls(REF_VERTICES * 1.3 + 0.2)
-    cmap = curved_map(ctrl)
+    cmap = CurvedMap(ctrl)
     pts = np.array([[0.1, 0.2, 0.3], [0.25, 0.25, 0.25], [0.0, 0.0, 0.0]])
     J = cmap.jacobian(pts)
     assert np.abs(J - J[0]).max() <= 1e-13
@@ -140,7 +140,7 @@ def test_curved_map_midpoints_give_affine():
 def test_curved_map_displaced_node_det_linear_along_edge():
     ctrl = _affine_controls(REF_VERTICES)
     ctrl[4 + 0] = ctrl[4 + 0] + np.array([0.0, 0.0, 0.08])   # displace (0,1) mid-edge
-    cmap = curved_map(ctrl)
+    cmap = CurvedMap(ctrl)
     s = np.linspace(0.05, 0.95, 9)
     pts = np.column_stack([s, np.zeros_like(s), np.zeros_like(s)])
     det = cmap.det_at(pts)
@@ -152,7 +152,7 @@ def test_curved_map_rejects_inverted_configuration():
     ctrl = _affine_controls(REF_VERTICES)
     ctrl[4 + 0] = np.array([3.0, -2.0, 0.0])
     with pytest.raises(ValueError):
-        curved_map(ctrl)
+        CurvedMap(ctrl)
 
 
 def test_mesh_metrics_structured():

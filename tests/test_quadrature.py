@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from edgefem.mesh import QuadGeometry, TetMesh, all_affine_data, curved_map
+from edgefem.mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data
 from edgefem.quadrature import (
     BUILTIN_LABELS,
     RefQuadratureRule,
@@ -196,7 +196,7 @@ def test_map_curved_matches_affine_for_straight_elements(rng):
     ctrl = [v for v in verts]
     for a, b in LOCAL_EDGES:
         ctrl.append((verts[a] + verts[b]) / 2.0)
-    geo_c = QuadGeometry.curved(rule, curved_map(np.array(ctrl)))
+    geo_c = QuadGeometry.curved(rule, CurvedMap(np.array(ctrl)))
     geo_a = affine_geometry(rule, verts)
     assert geo_c.jac.shape == (1, rule.npoints, 3, 3) and geo_a.jac.shape == (1, 1, 3, 3)
     assert np.abs(geo_c.points - geo_a.points).max() <= 1e-13
@@ -208,7 +208,7 @@ def test_map_curved_matches_affine_for_straight_elements(rng):
 
 
 def test_map_curved_centroid_weight_is_pointwise_det():
-    cmap = curved_map(_curved_control())
+    cmap = CurvedMap(_curved_control())
     rule = builtin_rule("pt1_centroid")
     geo = QuadGeometry.curved(rule, cmap)
     det = cmap.det_at(np.array([[0.25, 0.25, 0.25]]))[0]
@@ -218,7 +218,7 @@ def test_map_curved_centroid_weight_is_pointwise_det():
 def test_map_curved_volume_against_high_order_oracle():
     # total mapped weight equals the volume integral of det J computed with
     # a high-order certified tensor rule
-    cmap = curved_map(_curved_control())
+    cmap = CurvedMap(_curved_control())
     geo = QuadGeometry.curved(builtin_rule("high"), cmap)
     ref = tensorized_gl(8)
     vol = np.dot(ref.weights, cmap.det_at(ref.points))
@@ -229,7 +229,7 @@ def test_map_curved_rejects_nonpositive_jacobian():
     ctrl = _curved_control()
     ctrl[4] = [2.5, -2.0, 0.0]      # wreck the (0,1) mid-edge node
     with pytest.raises(ValueError):
-        curved_map(ctrl)
+        CurvedMap(ctrl)
 
 
 def test_degenerate_exactness_degree_skips_sum_invariant():
