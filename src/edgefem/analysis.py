@@ -9,6 +9,7 @@ that shrinks with its curvature scaling like the square of its size.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -172,7 +173,12 @@ def interpolate(mesh: TetMesh, order: int, field) -> np.ndarray:
     out[0: 2 * mesh.n_edges: 2] = mom0
     out[1: 2 * mesh.n_edges: 2] = np.einsum("l,elc,ec->e", w * (2.0 * s - 1.0), vals, d)
 
+    # the collapsed face rule averaged over the six orders of the face's vertices, so
+    # the moments do not depend on which vertex the global numbering puts first
     st, tw = _tri_rule(6)
+    bary = np.column_stack([1.0 - st.sum(axis=1), st])
+    st = np.concatenate([bary[:, list(p[1:])] for p in itertools.permutations(range(3))])
+    tw = np.tile(tw, 6) / 6.0
     fa = mesh.vertices[mesh.faces[:, 0]]
     d1 = mesh.vertices[mesh.faces[:, 1]] - fa
     d2 = mesh.vertices[mesh.faces[:, 2]] - fa
@@ -218,7 +224,7 @@ def consistency_error(mesh: TetMesh, order: int, coeffs: Coefficients, config: Q
 
 
 def consistency_probe(order: int, mesh_ns, coeffs: Coefficients, config: QuadratureConfig,
-                      seed: int = 0, builder=None):
+                      seed: int = DEFAULT_SEED, builder=None):
     """Refinement sweep of the form-consistency gap with normalized probe fields.
 
     Returns (rows, fit) where each row is (n, h, |Phi - Phi_h|, |F - F_h|) and
@@ -226,7 +232,6 @@ def consistency_probe(order: int, mesh_ns, coeffs: Coefficients, config: Quadrat
     """
     _check_rate_meshes(mesh_ns)
     builder = builder or structured_cube_mesh
-    seed = seed or DEFAULT_SEED
     rows = []
     for n in mesh_ns:
         mesh = builder(n)
@@ -316,6 +321,14 @@ def curved_rule_degree(mode: str, order: int, m: int) -> int:
     return order + m + 1
 
 
+def curved_probe_degree(mode: str, order: int, m: int, below: bool = False) -> int:
+    """Degree of the rule the curved probe uses: the threshold, minus 1 when ``below``."""
+    degree = curved_rule_degree(mode, order, m) - (1 if below else 0)
+    if degree < 0:
+        raise ValueError(f"curved probe rule degree {degree} is below zero; nothing to probe")
+    return degree
+
+
 def curved_probe(mode: str, order: int, m: int, below: bool = False,
                  svals=(0.5, 0.25, 0.125, 0.0625)):
     """Shrinking-family sweep of the curved local quadrature error.
@@ -323,9 +336,7 @@ def curved_probe(mode: str, order: int, m: int, below: bool = False,
     Returns (rows, fit): rows are (s, error); the fit is the log-log slope of
     the error against the shrink factor s.
     """
-    degree = curved_rule_degree(mode, order, m) - (1 if below else 0)
-    if degree < 0:
-        raise ValueError("rule degree below zero; nothing to probe")
+    degree = curved_probe_degree(mode, order, m, below)
     rule = builtin_rule("pt1_offcenter") if degree == 0 else rule_for_degree(degree)
     coeff = probe_vector_field if mode == "load" else probe_matrix_field
     rows = []

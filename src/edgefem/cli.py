@@ -1,8 +1,8 @@
 """Experiment driver: convergence studies, preasymptotic runs and probes.
 
-Configurations are JSON files with the fields of :class:`ExperimentConfig`;
-unknown keys are rejected so runs stay reproducible.  Every command writes a
-CSV table, a gnuplot-ready ``.dat`` twin and a text summary into ``--out``;
+A config is a JSON file whose keys are the fields of one config class, read by
+:func:`load_config`.  Every command writes its table (CSV and a gnuplot-ready
+``.dat`` twin, or ``.dat`` only for probes) and a text summary into ``--out``;
 re-running a command with the same config produces byte-identical output.
 """
 
@@ -11,25 +11,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
-    DEFAULT_SEED,
     _check_rate_meshes,
-    _curved_kind,
     consistency_probe,
     curved_probe,
-    curved_rule_degree,
+    curved_probe_degree,
     fit_rate,
     hcurl_error,
     records_to_csv,
 )
 from .assembly import QuadratureConfig, assemble
 from .mesh import structured_cube_mesh
-from .problems import catalog
+from .problems import ProblemCatalogEntry, catalog
 from .quadrature import (
     BUILTIN_LABELS,
     RefQuadratureRule,
@@ -40,26 +40,10 @@ from .quadrature import (
 )
 from .solver import solve
 
-__all__ = ["ExperimentConfig", "run_convergence", "run_preasymptotic", "run_probe", "run_quadcheck", "main"]
+__all__ = ["ExperimentConfig", "ConsistencyProbe", "CurvedProbe", "load_config",
+           "run_convergence", "run_preasymptotic", "run_quadcheck", "main"]
 
 DEFAULT_MESH_NS = {1: [2, 4, 6, 8, 12, 16, 24], 2: [2, 4, 6, 8, 12]}
-DEFAULT_PROBE_MESH_NS = [2, 4, 8, 12]
-
-_CONFIG_KEYS = {"problem", "order", "mesh_ns", "q1", "q2", "q3", "solver_tol", "label",
-                "fit_window", "expect_slope", "slope_tol", "expect_exit_index"}
-_PROBE_KEYS = {
-    "consistency": {"expect_min_slope", "label", "order", "m", "mesh_ns", "problem",
-                    "q1", "q2", "q3", "seed"},
-    "curved": {"expect_min_slope", "label", "mode", "order", "m", "below"},
-}
-
-
-def _check_keys(data: dict, allowed) -> dict:
-    """Return ``data`` unchanged; raise ValueError naming every key not in ``allowed``."""
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return data
 
 
 def _lookup(fn, what: str, spec):
@@ -70,42 +54,134 @@ def _lookup(fn, what: str, spec):
         raise ValueError(f"unknown {what} {spec!r}") from None
 
 
+def _check_order(order):
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
+
+
+def _resolve(problem, *specs):
+    """(catalog entry, QuadratureConfig) of a config; ValueError naming an unknown one."""
+    entry = _lookup(catalog, "problem", problem)
+    return entry, QuadratureConfig(*(_lookup(resolve_rule, f"q{i} rule", q) for i, q in enumerate(specs, 1)))
+
+
 @dataclass
 class ExperimentConfig:
+    """A ``convergence`` or ``preasymptotic`` run: one problem solved on a mesh sweep."""
+
     problem: str = "cube_poly"
     order: int = 1
-    mesh_ns: list = field(default_factory=list)
-    q1: object = "pt1_offcenter"
-    q2: object = "pt1_centroid"
-    q3: object = "pt1_centroid"
-    solver_tol: float = 1e-10
-    label: str = ""
-    fit_window: int = 4
-    expect_slope: float = None        # asserted by the CLI --assert gate when set
+    mesh_ns: list[int] = field(default_factory=list)      # empty: DEFAULT_MESH_NS[order]
+    q1: str | int = "pt1_offcenter"
+    q2: str | int = "pt1_centroid"
+    q3: str | int = "pt1_centroid"
+    label: str = ""                                       # empty: <problem>_k<order>
+    fit_window: int = 4                                   # fit the last that many meshes, 0 = all
+    expect_slope: float | None = None                     # convergence --assert gate
     slope_tol: float = 0.1
-    expect_exit_index: int = None     # preasymptotic --assert gate
+    entry: ProblemCatalogEntry = field(init=False, repr=False, compare=False)
+    rules: QuadratureConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {self.order!r}")
-        if not self.mesh_ns:
-            self.mesh_ns = list(DEFAULT_MESH_NS[self.order])
-        ns = list(self.mesh_ns)
-        if any(b <= a for a, b in zip(ns, ns[1:])):
+        _check_order(self.order)
+        self.mesh_ns = self.mesh_ns or list(DEFAULT_MESH_NS[self.order])
+        if any(b <= a for a, b in zip(self.mesh_ns, self.mesh_ns[1:])):
             raise ValueError("mesh_ns must be strictly increasing")
         if self.fit_window != 0 and self.fit_window < 3:
             raise ValueError(f"fit_window must be 0 (all meshes) or at least 3, got {self.fit_window}")
-        _lookup(catalog, "problem", self.problem)
-        self.rules()                  # an unknown rule fails here, at load
-        if not self.label:
-            self.label = f"{self.problem.replace('(', '_').rstrip(')')}_k{self.order}"
+        self.entry, self.rules = _resolve(self.problem, self.q1, self.q2, self.q3)
+        self.label = self.label or f"{self.problem.replace('(', '_').rstrip(')')}_k{self.order}"
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls(**_check_keys(json.loads(Path(path).read_text()), _CONFIG_KEYS))
 
-    def rules(self) -> QuadratureConfig:
-        return QuadratureConfig(*(_lookup(resolve_rule, f"{q} rule", getattr(self, q)) for q in ("q1", "q2", "q3")))
+@dataclass
+class ConsistencyProbe:
+    """``probe`` of kind "consistency": the form-consistency gap over a refinement sweep."""
+
+    problem: str = "cube_oscillatory(1)"
+    order: int = 1
+    m: int = 1
+    mesh_ns: list[int] = field(default_factory=lambda: [2, 4, 8, 12])
+    q1: str | int = "pt1_centroid"
+    q2: str | int | None = None                           # None: rule degree order + m - 1
+    q3: str | int | None = None                           # None: rule degree order + m - 1
+    label: str = "probe_consistency"
+    expect_min_slope: float | None = None                 # --assert gate
+    entry: ProblemCatalogEntry = field(init=False, repr=False, compare=False)
+    rules: QuadratureConfig = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_order(self.order)
+        _check_rate_meshes(self.mesh_ns)
+        degree = self.order + self.m - 1
+        self.entry, self.rules = _resolve(self.problem, self.q1, degree if self.q2 is None else self.q2,
+                                          degree if self.q3 is None else self.q3)
+
+    def run(self, out_dir):
+        rows, fit = consistency_probe(self.order, self.mesh_ns, self.entry.coefficients, self.rules)
+        body = "".join(f"{n} {h:.17g} {dphi:.17g} {dF:.17g}\n" for n, h, dphi, dF in rows)
+        _write(out_dir, f"{self.label}.dat", "n h dphi dF\n" + body)
+        exact = all(r[2] <= 1e-10 for r in rows)
+        _write(out_dir, f"{self.label}_summary.txt", "slope: exact\n" if exact else f"slope: {fit.slope:.17g}\n")
+        return rows, fit
+
+
+@dataclass
+class CurvedProbe:
+    """``probe`` of kind "curved": one form term's quadrature error on a shrinking curved element."""
+
+    mode: str = "mass"
+    order: int = 1
+    m: int = 1
+    below: bool = False                                   # probe one degree below the threshold
+    label: str = "probe_curved"
+    expect_min_slope: float | None = None                 # --assert gate
+    degree: int = field(init=False)
+
+    def __post_init__(self):
+        _check_order(self.order)
+        self.degree = curved_probe_degree(self.mode, self.order, self.m, self.below)
+
+    def run(self, out_dir):
+        rows, fit = curved_probe(self.mode, self.order, self.m, below=self.below)
+        _write(out_dir, f"{self.label}.dat", "s error\n" + "".join(f"{s:.17g} {e:.17g}\n" for s, e in rows))
+        _write(out_dir, f"{self.label}_summary.txt", f"mode {self.mode} order {self.order} m {self.m} "
+                                                     f"rule degree {self.degree}\nslope: {fit.slope:.17g}\n")
+        return rows, fit
+
+
+_PROBES = {"consistency": ConsistencyProbe, "curved": CurvedProbe}
+
+
+def _has_type(value, tp) -> bool:
+    """Whether a JSON value has the declared type; a bool is no int, an int is a float."""
+    if isinstance(tp, types.UnionType):
+        return any(_has_type(value, t) for t in typing.get_args(tp))
+    if typing.get_origin(tp) is list:
+        return isinstance(value, list) and all(_has_type(v, typing.get_args(tp)[0]) for v in value)
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+def load_config(command: str, path):
+    """The config of ``command`` from a JSON file; a probe's ``"kind"`` (default "consistency")
+    picks its class.  Unknown keys and values whose JSON type is not the field's are rejected
+    with a ValueError naming the key; the class then checks the values themselves."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError("a config must be a JSON object")
+    cls = _lookup(_PROBES.__getitem__, "probe kind", data.pop("kind", "consistency")) \
+        if command == "probe" else ExperimentConfig
+    unknown = set(data) - {f.name for f in fields(cls) if f.init}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, tp in typing.get_type_hints(cls).items():
+        if key in data and not _has_type(data[key], tp):
+            raise ValueError(f"{key} must be {tp.__name__ if isinstance(tp, type) else tp}, got {data[key]!r}")
+    config = cls(**data)
+    if command == "convergence":
+        _check_rate_meshes(config.mesh_ns)
+    return config
 
 
 def resolve_rule(spec) -> RefQuadratureRule:
@@ -123,31 +199,26 @@ def resolve_rule(spec) -> RefQuadratureRule:
     raise TypeError(f"cannot interpret quadrature spec {spec!r}")
 
 
-def _write(out_dir, name, text) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text(text)
-    return path
+def _write(out_dir, name, text):
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    (Path(out_dir) / name).write_text(text)
 
 
 def _emit_records(records, config, out_dir, extra_lines):
     csv_text = records_to_csv(records)
-    dat_text = csv_text.replace(",", " ")
     _write(out_dir, f"{config.label}.csv", csv_text)
-    _write(out_dir, f"{config.label}.dat", dat_text)
+    _write(out_dir, f"{config.label}.dat", csv_text.replace(",", " "))
     _write(out_dir, f"{config.label}_summary.txt", "\n".join(extra_lines) + "\n")
 
 
 def _sweep(config: ExperimentConfig, out_dir):
     """Mesh sweep: assemble, solve and measure the H(curl) error on every mesh."""
-    entry = catalog(config.problem)
-    rules = config.rules()
+    entry, rules = config.entry, config.rules
     records = []
     for n in config.mesh_ns:
         mesh = structured_cube_mesh(n)
         system = assemble(mesh, config.order, entry.coefficients, rules)
-        fld, report = solve(system, tol=config.solver_tol)
+        fld, report = solve(system)
         if fld is None:
             _emit_records(records, config, out_dir,
                           [f"ABORTED: solver did not converge at n={n} "
@@ -155,21 +226,16 @@ def _sweep(config: ExperimentConfig, out_dir):
             raise RuntimeError(f"solver did not converge at n={n}")
         records.append(hcurl_error(fld, (entry.exact, entry.exact_curl), 2 * config.order + 6,
                                    n=n, dofs=system.n_free, iterations=report.iterations))
-    header = [
-        f"problem {config.problem} order {config.order}",
-        f"rules q1={rules.q1.label} q2={rules.q2.label} q3={rules.q3.label}",
-    ]
-    return records, header
+    return records, [f"problem {config.problem} order {config.order}",
+                     f"rules q1={rules.q1.label} q2={rules.q2.label} q3={rules.q3.label}"]
 
 
 def run_convergence(config: ExperimentConfig, out_dir):
     """Mesh sweep with the fitted convergence rate against the dof count."""
     records, lines = _sweep(config, out_dir)
     fit = fit_rate(records, "dofs", window=config.fit_window)
-    lines += [
-        f"fitted slope vs dofs (last {fit.n_points}): {fit.slope:.17g}",
-        f"fit residual: {fit.residual:.17g}",
-    ]
+    lines += [f"fitted slope vs dofs (last {fit.n_points}): {fit.slope:.17g}",
+              f"fit residual: {fit.residual:.17g}"]
     _emit_records(records, config, out_dir, lines)
     return records, fit
 
@@ -186,66 +252,10 @@ def run_preasymptotic(config: ExperimentConfig, out_dir):
     """Mesh sweep with the plateau-exit report for oscillatory problems."""
     records, lines = _sweep(config, out_dir)
     exit_idx = plateau_exit_index([r.hcurl_error for r in records])
-    lines += [
-        f"plateau exit index: {exit_idx if exit_idx is not None else 'none'}",
-        f"plateau exit dofs: {records[exit_idx].dofs if exit_idx is not None else 'none'}",
-    ]
+    lines += [f"plateau exit index: {exit_idx if exit_idx is not None else 'none'}",
+              f"plateau exit dofs: {records[exit_idx].dofs if exit_idx is not None else 'none'}"]
     _emit_records(records, config, out_dir, lines)
     return records, exit_idx
-
-
-def _consistency_inputs(params: dict):
-    """(order, mesh_ns, coefficients, rules) of a consistency probe, defaults filled in."""
-    order, m = params.get("order", 1), params.get("m", 1)
-    entry = _lookup(catalog, "problem", params.get("problem", "cube_oscillatory(1)"))
-    rules = (_lookup(resolve_rule, f"{q} rule", params.get(q, default))
-             for q, default in (("q1", "pt1_centroid"), ("q2", order + m - 1), ("q3", order + m - 1)))
-    return order, params.get("mesh_ns", DEFAULT_PROBE_MESH_NS), entry.coefficients, QuadratureConfig(*rules)
-
-
-def run_probe(kind: str, params: dict, out_dir):
-    """Drive the consistency or curved probe and emit data plus fitted slope."""
-    out_label = params.get("label", f"probe_{kind}")
-    if kind == "consistency":
-        rows, fit = consistency_probe(*_consistency_inputs(params), seed=params.get("seed", DEFAULT_SEED))
-        header = "n h dphi dF"
-        body = "\n".join(f"{n} {h:.17g} {dphi:.17g} {dF:.17g}" for n, h, dphi, dF in rows)
-        exact = all(r[2] <= 1e-10 for r in rows)
-        slope_line = "slope: exact" if exact else f"slope: {fit.slope:.17g}"
-        _write(out_dir, f"{out_label}.dat", header + "\n" + body + "\n")
-        _write(out_dir, f"{out_label}_summary.txt", slope_line + "\n")
-        return rows, fit
-    if kind == "curved":
-        mode = params.get("mode", "mass")
-        order = params.get("order", 1)
-        m = params.get("m", 1)
-        below = params.get("below", False)
-        rows, fit = curved_probe(mode, order, m, below=below)
-        degree = curved_rule_degree(mode, order, m) - (1 if below else 0)
-        header = "s error"
-        body = "\n".join(f"{s:.17g} {e:.17g}" for s, e in rows)
-        _write(out_dir, f"{out_label}.dat", header + "\n" + body + "\n")
-        _write(out_dir, f"{out_label}_summary.txt",
-               f"mode {mode} order {order} m {m} rule degree {degree}\nslope: {fit.slope:.17g}\n")
-        return rows, fit
-    raise ValueError("probe kind must be 'consistency' or 'curved'")
-
-
-def _load_probe(path):
-    """(kind, expect_min_slope, params) of a probe config.  Unknown keys, orders, modes,
-    problems and rules, and a consistency ``mesh_ns`` too short for a rate fit are rejected."""
-    params = json.loads(Path(path).read_text())
-    kind = params.pop("kind", "consistency")
-    if kind not in _PROBE_KEYS:
-        raise ValueError(f"unknown probe kind {kind!r}")
-    _check_keys(params, _PROBE_KEYS[kind])
-    if params.get("order", 1) not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {params['order']!r}")
-    if kind == "consistency":
-        _check_rate_meshes(_consistency_inputs(params)[1])   # resolves the problem and rules too
-    else:
-        _curved_kind(params.get("mode", "mass"))
-    return kind, params.pop("expect_min_slope", None), params
 
 
 def _parse_rule_dump(text: str):
@@ -320,8 +330,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None)
         p.add_argument("--out", type=Path, default=Path("out"))
-        p.add_argument("--assert", dest="check", action="store_true",
-                       help="exit 2 when the configured expectation is violated")
+        if name in ("convergence", "probe"):
+            p.add_argument("--assert", dest="check", action="store_true",
+                           help="exit 2 when the configured expectation is violated")
     args = parser.parse_args(argv)
 
     if args.command == "quad-check":
@@ -337,36 +348,23 @@ def main(argv=None) -> int:
         print("--config is required for this command", file=sys.stderr)
         return 1
     try:
-        if args.command == "probe":
-            kind, expect, params = _load_probe(args.config)
-        else:
-            config = ExperimentConfig.from_json(args.config)
-            if args.command == "convergence":
-                _check_rate_meshes(config.mesh_ns)
+        config = load_config(args.command, args.config)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1
 
-    if args.command == "probe":
-        _, fit = run_probe(kind, params, args.out)
-        if args.check and expect is not None and fit.slope < expect:
-            return 2
+    if args.command == "preasymptotic":
+        _, exit_idx = run_preasymptotic(config, args.out)
+        print(f"plateau exit index: {exit_idx}")
         return 0
-
-    if args.command == "convergence":
+    if args.command == "probe":
+        _, fit = config.run(args.out)
+        failed = config.expect_min_slope is not None and fit.slope < config.expect_min_slope
+    else:
         _, fit = run_convergence(config, args.out)
         print(f"slope vs dofs: {fit.slope:.6f}")
-        if args.check and config.expect_slope is not None \
-                and abs(fit.slope - config.expect_slope) > config.slope_tol:
-            return 2
-        return 0
-
-    records, exit_idx = run_preasymptotic(config, args.out)
-    print(f"plateau exit index: {exit_idx}")
-    if args.check and config.expect_exit_index is not None \
-            and exit_idx != config.expect_exit_index:
-        return 2
-    return 0
+        failed = config.expect_slope is not None and abs(fit.slope - config.expect_slope) > config.slope_tol
+    return 2 if args.check and failed else 0
 
 
 if __name__ == "__main__":

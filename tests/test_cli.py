@@ -8,18 +8,19 @@ from edgefem import cli
 from edgefem.analysis import consistency_probe
 from edgefem.assembly import QuadratureConfig
 from edgefem.cli import (
+    ConsistencyProbe,
+    CurvedProbe,
     ExperimentConfig,
-    _load_probe,
+    load_config,
     main,
     plateau_exit_index,
     resolve_rule,
     run_convergence,
     run_preasymptotic,
-    run_probe,
     run_quadcheck,
 )
 from edgefem.problems import catalog, residual_check
-from edgefem.quadrature import builtin_rule, dump_rule
+from edgefem.quadrature import builtin_rule, dump_rule, rule_for_degree
 
 from conftest import fd_curl
 
@@ -28,7 +29,7 @@ def test_config_validation(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"problem": "cube_poly", "order": 1, "mesh_ns": [2, 4], "junk": 1}))
     with pytest.raises(ValueError, match="unknown config keys"):
-        ExperimentConfig.from_json(path)
+        load_config("convergence", path)
 
     with pytest.raises(ValueError, match="strictly increasing"):
         ExperimentConfig(mesh_ns=[4, 4])
@@ -105,15 +106,27 @@ def test_plateau_exit_index_synthetic():
 
 
 def test_run_probe_consistency_and_curved(tmp_path):
-    rows, fit = run_probe("consistency", {"order": 1, "m": 1, "mesh_ns": [2, 3, 4],
-                                          "problem": "cube_oscillatory(1)"}, tmp_path)
+    rows, fit = ConsistencyProbe(order=1, m=1, mesh_ns=[2, 3, 4], problem="cube_oscillatory(1)").run(tmp_path)
     assert len(rows) == 3
     assert (tmp_path / "probe_consistency.dat").exists()
 
-    rows, fit = run_probe("curved", {"mode": "curlcurl", "order": 1, "m": 1}, tmp_path)
-    assert (tmp_path / "probe_curved_summary.txt").exists()
-    with pytest.raises(ValueError):
-        run_probe("spectral", {}, tmp_path)
+    probe = CurvedProbe(mode="curlcurl", order=1, m=1)
+    rows, fit = probe.run(tmp_path)
+    assert (tmp_path / "probe_curved_summary.txt").read_text().startswith(
+        "mode curlcurl order 1 m 1 rule degree 1\n")
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"kind": "spectral"}))
+    with pytest.raises(ValueError, match="unknown probe kind 'spectral'"):
+        load_config("probe", path)
+
+
+def test_consistency_probe_rule_defaults():
+    # unset q2 and q3 take rule degree order + m - 1; an explicit degree 0 stays 0
+    probe = ConsistencyProbe(order=2, m=1)
+    assert probe.rules.q2.label == probe.rules.q3.label == rule_for_degree(2).label
+    zero = ConsistencyProbe(order=2, m=1, q2=0).rules
+    assert zero.q2.label == rule_for_degree(0).label != zero.q3.label
+    assert probe.entry.name == "cube_oscillatory(1)"
 
 
 def test_run_quadcheck_speed_and_content(tmp_path):
@@ -172,7 +185,25 @@ def test_main_rejects_unknown_keys(tmp_path, capsys):
     path.write_text(json.dumps({"kind": "curved", "mesh_ns": [1, 2, 3]}))
     assert main(["probe", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert "mesh_ns" in capsys.readouterr().err
+    # keys that no config set are gone
+    for command, config in (("convergence", {"solver_tol": 1e-8}),
+                            ("preasymptotic", {"expect_exit_index": 2}),
+                            ("probe", {"kind": "consistency", "seed": 3})):
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert f"unknown config keys: {list(config.keys() - {'kind'})}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.dat"))
+
+
+def test_assert_gate_only_on_gated_commands(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"problem": "cube_poly", "mesh_ns": [1, 2]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["preasymptotic", "--config", str(path), "--out", str(tmp_path), "--assert"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["quad-check", "--out", str(tmp_path), "--assert"])
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_rate_studies_reject_two_meshes_up_front(tmp_path, capsys):
@@ -221,8 +252,15 @@ def test_convergence_fit_window_checked_at_load(tmp_path, capsys, monkeypatch):
     ("probe", {"kind": "consistency", "problem": "cube_foo"}, "'cube_foo'"),
     ("probe", {"kind": "consistency", "order": 3}, "order must be 1 or 2, got 3"),
     ("probe", {"kind": "curved", "mode": "curl"}, "'curl'"),
+    ("probe", {"kind": "curved", "mode": "curlcurl", "m": 0, "below": True}, "degree -1"),
+    ("convergence", {"problem": "cube_poly", "fit_window": "3"}, "fit_window must be int, got '3'"),
+    ("probe", {"kind": "consistency", "m": "1"}, "m must be int, got '1'"),
+    ("convergence", {"problem": "cube_poly", "mesh_ns": [2, "4", 8]}, "mesh_ns must be list[int]"),
+    ("probe", {"kind": "curved", "below": "yes"}, "below must be bool, got 'yes'"),
+    ("probe", {"kind": "curved", "order": True}, "order must be int, got True"),
 ], ids=["convergence-rule", "convergence-problem", "consistency-rule", "consistency-problem",
-        "consistency-order", "curved-mode"])
+        "consistency-order", "curved-mode", "curved-degree-below-zero", "fit_window-string",
+        "consistency-m-string", "mesh_ns-element-string", "curved-below-string", "curved-order-bool"])
 def test_main_rejects_bad_values_at_load(tmp_path, capsys, command, config, named):
     # exit 1 with a message naming the value, not a traceback after some levels
     path = tmp_path / "c.json"
@@ -236,15 +274,27 @@ def test_main_requires_config(tmp_path):
     assert main(["convergence", "--out", str(tmp_path)]) == 1
 
 
+def test_config_types_null_where_default_is_none(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"problem": "cube_poly", "mesh_ns": [1, 2, 3], "expect_slope": None,
+                                "slope_tol": 1}))
+    cfg = load_config("convergence", path)
+    assert cfg.expect_slope is None and cfg.slope_tol == 1
+    path.write_text(json.dumps({"kind": "consistency", "q2": None, "q3": 2, "expect_min_slope": None}))
+    assert isinstance(load_config("probe", path), ConsistencyProbe)
+    path.write_text(json.dumps({"problem": "cube_poly", "slope_tol": None}))
+    with pytest.raises(ValueError, match="slope_tol must be float, got None"):
+        load_config("convergence", path)
+
+
 def test_shipped_configs_parse():
     import pathlib
 
-    root = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    for name in ("convergence_k1.json", "convergence_k1_degraded_mass.json",
-                 "convergence_k2.json", "convergence_k2_tensorized.json",
-                 "preasymptotic_m10_1pt.json"):
-        cfg = ExperimentConfig.from_json(root / name)
-        for spec in (cfg.q1, cfg.q2, cfg.q3):
-            assert resolve_rule(spec) is not None
-    for name, kind in (("probe_curved_mass.json", "curved"), ("probe_consistency_m1.json", "consistency")):
-        assert _load_probe(root / name)[0] == kind
+    paths = sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert len(paths) == 7
+    for path in paths:
+        command = path.name.split("_")[0]
+        cfg = load_config(command, path)
+        expected = {"consistency": ConsistencyProbe, "curved": CurvedProbe}.get(
+            json.loads(path.read_text()).get("kind"), ExperimentConfig)
+        assert type(cfg) is expected, path.name

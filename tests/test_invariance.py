@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgefem.analysis import consistency_error, hcurl_error, interpolate
+from edgefem.analysis import consistency_error, hcurl_error, probe_field
 from edgefem.assembly import QuadratureConfig, assemble
 from edgefem.mesh import TetMesh, structured_cube_mesh
 from edgefem.problems import catalog
@@ -36,24 +36,13 @@ def relabelled(mesh, perm):
     return TetMesh(vertices, perm[mesh.tets])
 
 
-def cubic_field(c):
-    """A fixed cubic vector field.  Every moment that interpolates it is
-    integrated exactly, so its interpolant is the same function under any
-    numbering (the smooth probe fields are not: the face moments integrate
-    them with a rule that is not symmetric under vertex reordering)."""
-    def field(pts):
-        x, y, z = np.atleast_2d(pts).T
-        return np.column_stack([c + x * x * y - z, y * z * z - c * x, x * y * z + z ** 3 + c])
-    return field
-
-
 def measures(mesh, order):
     entry = catalog("cube_oscillatory(1)")
     system = assemble(mesh, order, entry.coefficients, RULES[order])
     field = solve_dense(system)
     rec = hcurl_error(field, (entry.exact, entry.exact_curl), 2 * order + 6)
-    U = interpolate(mesh, order, cubic_field(0.3))
-    V = interpolate(mesh, order, cubic_field(-0.7))
+    U = probe_field(mesh, order, 11)
+    V = probe_field(mesh, order, 23)
     gaps = consistency_error(mesh, order, entry.coefficients, RULES[order], U, V)
     eigs = np.linalg.eigvalsh(system.matrix.toarray()) if order == 1 else None
     return np.array([rec.l2_error, rec.curl_error, *gaps]), eigs
