@@ -7,9 +7,22 @@ behaviour of this discretization provably cannot land in the expected bands
 (see the reasons on the tests), so a change in that status must be noticed.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; total runtime is a few minutes on a laptop.
+
+Every shipped config in ``configs/`` is also run once and its outputs are
+compared with ``tests/golden/``: integers and text exactly, floats to a
+relative 1e-10, far below any scientific effect and above the round-off that
+a reordered sum leaves.  Criteria 2, 3 and 4 read the same runs, because they
+use exactly the inputs of the four ``convergence_*`` configs.  The goldens
+are the command-line outputs, written by
+
+    edgefem <command> --config configs/<name>.json --out tests/golden
+
+where <command> is the first word of <name>.
 """
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,16 +35,56 @@ from edgefem.analysis import (
     probe_field,
 )
 from edgefem.assembly import QuadratureConfig, assemble, evaluate_forms
-from edgefem.cli import ExperimentConfig, run_convergence, run_preasymptotic, run_quadcheck
+from edgefem.cli import ExperimentConfig, load_config, run_convergence, run_preasymptotic
 from edgefem.mesh import structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import BUILTIN_LABELS, builtin_rule, tensorized_gl, verify_exactness
 from edgefem.solver import solve, solve_dense
 
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+GOLDEN_RTOL = 1e-10
+
+
 def report(num, ok, detail):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
+
+
+def shipped_run(tmp_path_factory, name):
+    """Run ``configs/<name>.json`` as its command does: (result, output directory)."""
+    command = name.split("_")[0]
+    config = load_config(command, ROOT / "configs" / f"{name}.json")
+    out = tmp_path_factory.mktemp(name)
+    runner = {"convergence": run_convergence, "preasymptotic": run_preasymptotic}.get(
+        command, lambda cfg, out_dir: cfg.run(out_dir))
+    return runner(config, out), out
+
+
+def _golden_mismatch(token, golden):
+    """Why an output token differs from its golden one, or None when it matches."""
+    try:
+        a, b = float(token), float(golden)
+    except ValueError:
+        return None if token == golden else "text differs"
+    if re.fullmatch(r"[+-]?\d+", golden):
+        return None if token == golden else "integer differs"
+    return None if abs(a - b) <= GOLDEN_RTOL * max(abs(a), abs(b)) else f"relative {abs(a - b) / abs(b):.1e}"
+
+
+def assert_matches_golden(out_dir):
+    written = sorted(Path(out_dir).iterdir())
+    assert written
+    for path in written:
+        lines, golden = path.read_text().splitlines(), (GOLDEN / path.name).read_text().splitlines()
+        assert len(lines) == len(golden), path.name
+        for num, (line, gline) in enumerate(zip(lines, golden), 1):
+            tokens, gtokens = re.split(r"[\s,]+", line), re.split(r"[\s,]+", gline)
+            assert len(tokens) == len(gtokens), f"{path.name}:{num}: {line!r} vs {gline!r}"
+            for token, gtoken in zip(tokens, gtokens):
+                why = _golden_mismatch(token, gtoken)
+                assert why is None, f"{path.name}:{num}: {token} vs golden {gtoken} ({why})"
 
 
 # -- criterion 1: quadrature certification -------------------------------------
@@ -52,21 +105,44 @@ def test_criterion1_quadrature_certification():
     assert report(1, ok, f"all rules certified tight in {elapsed:.2f}s")
 
 
-# -- criteria 2 and 3: first-order convergence and its degraded variant --------
-
-K1_NS = [2, 4, 6, 8, 12, 16, 24]
-
+# -- the four convergence configs, shared by criteria 2-4 and their goldens ------
 
 @pytest.fixture(scope="module")
 def compliant_k1(tmp_path_factory):
-    cfg = ExperimentConfig(problem="cube_poly", order=1, mesh_ns=K1_NS,
-                           q1="pt1_offcenter", q2="pt1_centroid", q3="pt1_centroid",
-                           label="crit2")
-    return run_convergence(cfg, tmp_path_factory.mktemp("crit2"))
+    return shipped_run(tmp_path_factory, "convergence_k1")
 
+
+@pytest.fixture(scope="module")
+def degraded_k1(tmp_path_factory):
+    return shipped_run(tmp_path_factory, "convergence_k1_degraded_mass")
+
+
+@pytest.fixture(scope="module")
+def compliant_k2(tmp_path_factory):
+    return shipped_run(tmp_path_factory, "convergence_k2")
+
+
+@pytest.fixture(scope="module")
+def tensorized_k2(tmp_path_factory):
+    return shipped_run(tmp_path_factory, "convergence_k2_tensorized")
+
+
+@pytest.mark.parametrize("run", ["compliant_k1", "degraded_k1", "compliant_k2", "tensorized_k2"])
+def test_golden_convergence_outputs(request, run):
+    _, out = request.getfixturevalue(run)
+    assert_matches_golden(out)
+
+
+@pytest.mark.parametrize("name", ["preasymptotic_m10_1pt", "probe_consistency_m1", "probe_curved_mass"])
+def test_golden_outputs(tmp_path_factory, name):
+    _, out = shipped_run(tmp_path_factory, name)
+    assert_matches_golden(out)
+
+
+# -- criteria 2 and 3: first-order convergence and its degraded variant --------
 
 def test_criterion2_compliant_rate(compliant_k1):
-    records, fit = compliant_k1
+    (records, fit), _ = compliant_k1
     fit_h = fit_rate(records, "h", window=4)
     errs = [r.hcurl_error for r in records]
     monotone = all(errs[i + 1] <= 1.02 * errs[i] for i in range(len(errs) - 1))
@@ -86,12 +162,9 @@ def test_criterion2_compliant_rate(compliant_k1):
            "families alike).  The degraded band [0.55, 0.95] x (1/3) is "
            "therefore unattainable for k=1 regardless of the off-center "
            "point; only the error constant inflates.")
-def test_criterion3_degraded_rate(compliant_k1, tmp_path_factory):
-    _, fit2 = compliant_k1
-    cfg = ExperimentConfig(problem="cube_poly", order=1, mesh_ns=K1_NS,
-                           q1="pt1_offcenter", q2="pt1_offcenter", q3="pt1_centroid",
-                           label="crit3")
-    _, fit3 = run_convergence(cfg, tmp_path_factory.mktemp("crit3"))
+def test_criterion3_degraded_rate(compliant_k1, degraded_k1):
+    (_, fit2), _ = compliant_k1
+    (_, fit3), _ = degraded_k1
     ratio = abs(fit3.slope) / (1.0 / 3.0)
     ok = (0.55 <= ratio <= 0.95) and abs(fit3.slope) <= 0.9 * abs(fit2.slope)
     assert report(3, ok, f"degraded slope {fit3.slope:.4f} ratio {ratio:.3f} "
@@ -100,13 +173,8 @@ def test_criterion3_degraded_rate(compliant_k1, tmp_path_factory):
 
 # -- criterion 4: second-order runs ---------------------------------------------
 
-K2_NS = [2, 4, 6, 8, 12]
-
-
-def test_criterion4_compliant_rate(tmp_path_factory):
-    cfg = ExperimentConfig(problem="cube_poly", order=2, mesh_ns=K2_NS,
-                           q1="pt5", q2="pt5", q3="pt15", label="crit4a")
-    records, fit = run_convergence(cfg, tmp_path_factory.mktemp("crit4a"))
+def test_criterion4_compliant_rate(compliant_k2):
+    (records, fit), _ = compliant_k2
     errs = [r.hcurl_error for r in records]
     monotone = all(errs[i + 1] <= 1.02 * errs[i] for i in range(len(errs) - 1))
     ok = abs(fit.slope + 2.0 / 3.0) <= 0.08 and monotone
@@ -123,10 +191,8 @@ def test_criterion4_compliant_rate(tmp_path_factory):
            "fitted total slope is ~ -0.49 because the window still mixes the "
            "second-order best-approximation phase; the -1/3 +- 0.10 window "
            "begins past n = 12 for this basis' error constants.")
-def test_criterion4_tensorized_rate(tmp_path_factory):
-    cfg = ExperimentConfig(problem="cube_poly", order=2, mesh_ns=K2_NS,
-                           q1="tensorized:2", q2="pt5", q3="pt15", label="crit4b")
-    _, fit = run_convergence(cfg, tmp_path_factory.mktemp("crit4b"))
+def test_criterion4_tensorized_rate(tensorized_k2):
+    (_, fit), _ = tensorized_k2
     ok = abs(fit.slope + 1.0 / 3.0) <= 0.10
     assert report("4b", ok, f"slope vs dofs {fit.slope:.4f} (target -1/3 +- 0.10)")
 
