@@ -22,6 +22,7 @@ from .assembly import (
     _chunks,
     _dof_layout,
     _integrand,
+    _push,
     evaluate_forms,
     reference_config,
 )
@@ -113,17 +114,15 @@ def records_to_csv(records) -> str:
 
 def _error_integrals(sol: SolutionField, exact, exact_curl, rule: RefQuadratureRule):
     affine = all_affine_data(sol.mesh)
-    l2_sq = 0.0
-    curl_sq = 0.0
-    for lo, hi in _chunks(sol.mesh.n_tets, 6 * rule.npoints):
+    squares = [0.0, 0.0]
+    # per point: the pushed fields and the products they come from, the exact fields and the differences
+    for lo, hi in _chunks(sol.mesh.n_tets, 24 * rule.npoints):
         geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in affine))
-        vh, ch = sol.eval_elements(geo, slice(lo, hi))
         flat = geo.points.reshape(-1, 3)
-        ve = np.asarray(exact(flat), dtype=complex).reshape(vh.shape)
-        ce = np.asarray(exact_curl(flat), dtype=complex).reshape(ch.shape)
-        l2_sq += float(np.sum(geo.weights * np.sum(np.abs(vh - ve) ** 2, axis=2)))
-        curl_sq += float(np.sum(geo.weights * np.sum(np.abs(ch - ce) ** 2, axis=2)))
-    return l2_sq, curl_sq
+        for i, (discrete, fn) in enumerate(zip(sol.eval_elements(geo, slice(lo, hi)), (exact, exact_curl))):
+            diff = discrete - np.asarray(fn(flat)).reshape(discrete.shape)
+            squares[i] += np.vdot(diff, geo.weights[..., None] * diff).real
+    return tuple(squares)
 
 
 def hcurl_error(sol: SolutionField, exact_pair, quad_degree: int,
@@ -288,9 +287,12 @@ def curved_local_error(cmap: CurvedMap, coeff, rule: RefQuadratureRule, order: i
     basis = curl_basis(order)
     u = np.cos(1.0 + np.arange(basis.n_dofs))[None]
     v = np.sin(2.0 + 0.7 * np.arange(basis.n_dofs))[None]
-    exact, approx = (_integrand(QuadGeometry.curved(r, cmap), kind, coeff, basis, u, v)
-                     for r in (tensorized_gl(10), rule))
-    return float(abs(exact - approx))
+
+    def value(r):
+        geo = QuadGeometry.curved(r, cmap)
+        return _integrand(geo, kind, coeff, _push(geo, kind, basis, u), _push(geo, kind, basis, v))
+
+    return float(abs(value(tensorized_gl(10)) - value(rule)))
 
 
 def probe_matrix_field(pts):

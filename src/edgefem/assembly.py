@@ -16,6 +16,7 @@ assemblies of the same inputs are bit-identical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,7 +40,7 @@ __all__ = [
     "dump_matrix",
 ]
 
-_CHUNK_BUDGET = 3_000_000   # floats per pushed-basis scratch block
+_CHUNK_BUDGET = 3_000_000   # complex values of scratch held by one chunk of a per-element kernel
 
 
 class _Field:
@@ -149,7 +150,7 @@ def _local_coefficients(mesh: TetMesh, order: int, *dof_vectors):
     if any(len(dofs) != n_dofs for dofs in dof_vectors):
         raise ValueError(f"dof vectors must have the full length {n_dofs}")
     X = _orientation_transforms(mesh, curl_basis(order))
-    return [np.einsum("emd,ed->em", X, np.asarray(dofs, dtype=complex)[gdof]) for dofs in dof_vectors]
+    return [(X @ np.asarray(dofs, dtype=complex)[gdof][:, :, None])[:, :, 0] for dofs in dof_vectors]
 
 
 @dataclass
@@ -214,18 +215,30 @@ def _push(geo: QuadGeometry, kind: str, basis: CurlBasis, local=None):
     the covariant push otherwise; the whole table (E, L, nd, 3), or the field (E, L, 3) of ``local``."""
     tabulate, push = (basis.curl_many, geo.contravariant) if kind == "curl" else (basis.eval_many, geo.covariant)
     table = tabulate(geo.rule.points)
-    return push(table[None] if local is None else np.einsum("lnc,en->elc", table, local))
+    if local is None:
+        return push(table[None])
+    npts = len(table)
+    table = table.transpose(1, 0, 2).reshape(basis.n_dofs, 3 * npts).astype(local.dtype)
+    return push((local @ table).reshape(-1, npts, 3))
 
 
-def _integrand(geo: QuadGeometry, kind: str, coeff, basis: CurlBasis, u_local, v_local):
-    """Unscaled value of one term on ``geo``: the sum of w (coeff u) . conj v, or
-    of w coeff . conj v for 'load' (``u_local`` unused), from local coefficients."""
+def _real_times_complex(a, b):
+    """a @ b for real a and complex b, as one real product on b's interleaved real and imaginary parts."""
+    return (a @ np.ascontiguousarray(b).view(float)).view(complex)
+
+
+def _coefficient_times(c, u):
+    """c u at every point: c (..., 3, 3) matrices times u (..., 3) vectors, column by column."""
+    return c[..., 0] * u[..., :1] + c[..., 1] * u[..., 1:2] + c[..., 2] * u[..., 2:]
+
+
+def _integrand(geo: QuadGeometry, kind: str, coeff, u, v):
+    """Unscaled value of one term on ``geo``: the sum of w (coeff u) . conj v, or of
+    w coeff . conj v for 'load' (``u`` unused), from the pushed fields u, v (E, L, 3)."""
     c = coeff(geo.points.reshape(-1, 3))
-    v = _push(geo, kind, basis, v_local)
-    if kind == "load":
-        return np.einsum("el,elp,elp->", geo.weights, c.reshape(v.shape), v.conj())
-    u = _push(geo, kind, basis, u_local)
-    return np.einsum("el,elpq,elq,elp->", geo.weights, c.reshape(u.shape + (3,)), u, v.conj())
+    if kind != "load":
+        c = _coefficient_times(c.reshape(u.shape + (3,)), u)
+    return np.vdot(v, geo.weights[..., None] * c.reshape(v.shape))
 
 
 def _chunks(n_items, per_item_cost):
@@ -238,16 +251,20 @@ def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, sc
     """Element blocks of one form term for all elements, times ``scale``;
     orientation not applied.  kind is 'curl', 'mass' or 'load'.
     """
-    nt, nd = mesh.n_tets, basis.n_dofs
+    nt, nd, npts = mesh.n_tets, basis.n_dofs, rule.npoints
     out = np.zeros((nt, nd) if kind == "load" else (nt, nd, nd), dtype=complex)
-    for lo, hi in _chunks(nt, rule.npoints * nd * 3):
+    # per element: the pushed table, its transposed complex copy, (coefficient u) and its transpose
+    for lo, hi in _chunks(nt, 4 * npts * nd * 3):
         geo = QuadGeometry.affine(rule, jac[lo:hi], origin[lo:hi], det[lo:hi], inv[lo:hi])
-        phys = _push(geo, kind, basis)
+        phys = _push(geo, kind, basis)                                  # (E, L, nd, 3)
         coeff = coeff_field(geo.points.reshape(-1, 3)).reshape(phys.shape[:2] + coeff_field.shape)
+        coeff = (scale * geo.weights).reshape(phys.shape[:2] + (1,) * len(coeff_field.shape)) * coeff
+        rows = phys.transpose(0, 2, 1, 3).reshape(hi - lo, nd, 3 * npts)
         if kind == "load":
-            out[lo:hi] = scale * np.einsum("el,elp,elip->ei", geo.weights, coeff, phys)
+            out[lo:hi] = _real_times_complex(rows, coeff.reshape(hi - lo, 3 * npts, 1))[:, :, 0]
         else:
-            out[lo:hi] = scale * np.einsum("el,elip,elpq,eljq->eij", geo.weights, phys, coeff, phys)
+            cu = _coefficient_times(coeff[:, :, None], phys)            # (E, L, nd, 3)
+            out[lo:hi] = _real_times_complex(rows, cu.transpose(0, 1, 3, 2).reshape(hi - lo, 3 * npts, nd))
     return out
 
 
@@ -263,8 +280,8 @@ def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quadrature
                for kind, rule, coeff, scale in _terms(coeffs, config))
 
     X = _orientation_transforms(mesh, basis)
-    K = np.einsum("emi,emn,enj->eij", X, A + M, X)
-    fo = np.einsum("emi,em->ei", X, f)
+    K = np.swapaxes(X, 1, 2) @ (A + M) @ X
+    fo = (f[:, None] @ X)[:, 0]
 
     nd = basis.n_dofs
     rows = np.repeat(gdof, nd, axis=1).ravel()
@@ -297,18 +314,24 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
     :func:`reference_config` gives the high-degree 'exact' reference values.
     """
     basis = curl_basis(order)
-    u_loc, v_loc = _local_coefficients(mesh, order, U_dofs, V_dofs)
+    local = _local_coefficients(mesh, order, U_dofs, V_dofs)
     affine = all_affine_data(mesh)
+    terms = _terms(coeffs, config)
 
     phi = load = 0.0 + 0.0j
-    for kind, rule, coeff, scale in _terms(coeffs, config):
-        for lo, hi in _chunks(mesh.n_tets, rule.npoints * 4):
+    # terms with the same rule share each chunk's geometry and pushed fields
+    for rule in {id(rule): rule for _, rule, _, _ in terms}.values():
+        # per point: the pushed u and v of both kinds, a matrix coefficient, c u and w c u
+        for lo, hi in _chunks(mesh.n_tets, 16 * rule.npoints):
             geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in affine))
-            value = scale * _integrand(geo, kind, coeff, basis, u_loc[lo:hi], v_loc[lo:hi])
-            if kind == "load":
-                load += value
-            else:
-                phi += value
+            pushed = functools.cache(lambda curl, i: _push(geo, "curl" if curl else "mass", basis, local[i][lo:hi]))
+            for kind, _, coeff, scale in (t for t in terms if t[1] is rule):
+                u = None if kind == "load" else pushed(kind == "curl", 0)
+                value = scale * _integrand(geo, kind, coeff, u, pushed(kind == "curl", 1))
+                if kind == "load":
+                    load += value
+                else:
+                    phi += value
     return complex(phi), complex(load)
 
 

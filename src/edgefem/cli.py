@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import types
 import typing
@@ -59,6 +60,12 @@ def _check_order(order):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
 
 
+def _check_label(label):
+    """A label names the output files inside ``--out``: not empty, no path separator."""
+    if not label or "/" in label or os.sep in label:
+        raise ValueError(f"label must be a non-empty file name without a path separator, got {label!r}")
+
+
 def _resolve(problem, *specs):
     """(catalog entry, QuadratureConfig) of a config; ValueError naming an unknown one."""
     entry = _lookup(catalog, "problem", problem)
@@ -91,6 +98,7 @@ class ExperimentConfig:
             raise ValueError(f"fit_window must be 0 (all meshes) or at least 3, got {self.fit_window}")
         self.entry, self.rules = _resolve(self.problem, self.q1, self.q2, self.q3)
         self.label = self.label or f"{self.problem.replace('(', '_').rstrip(')')}_k{self.order}"
+        _check_label(self.label)
 
 
 @dataclass
@@ -111,6 +119,7 @@ class ConsistencyProbe:
 
     def __post_init__(self):
         _check_order(self.order)
+        _check_label(self.label)
         _check_rate_meshes(self.mesh_ns)
         degree = self.order + self.m - 1
         self.entry, self.rules = _resolve(self.problem, self.q1, degree if self.q2 is None else self.q2,
@@ -139,6 +148,7 @@ class CurvedProbe:
 
     def __post_init__(self):
         _check_order(self.order)
+        _check_label(self.label)
         self.degree = curved_probe_degree(self.mode, self.order, self.m, self.below)
 
     def run(self, out_dir):
@@ -349,7 +359,7 @@ def main(argv=None) -> int:
         return 1
     try:
         config = load_config(args.command, args.config)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1
 

@@ -117,15 +117,12 @@ class TetMesh:
         self._build_topology(diam)
 
     def _build_topology(self, diam):
-        tets = self.tets
+        tets, nv = self.tets, self.n_vertices
         nt = len(tets)
 
-        raw_edges = np.sort(tets[:, LOCAL_EDGES], axis=2).reshape(-1, 2)
-        edges, tet2edge = np.unique(raw_edges, axis=0, return_inverse=True)
+        edges, tet2edge = _unique_rows(np.sort(tets[:, LOCAL_EDGES], axis=2).reshape(-1, 2), nv)
         tet2edge = tet2edge.reshape(nt, 6)
-
-        raw_faces = np.sort(tets[:, LOCAL_FACES], axis=2).reshape(-1, 3)
-        faces, tet2face = np.unique(raw_faces, axis=0, return_inverse=True)
+        faces, tet2face = _unique_rows(np.sort(tets[:, LOCAL_FACES], axis=2).reshape(-1, 3), nv)
         tet2face = tet2face.reshape(nt, 4)
 
         counts = np.bincount(tet2face.ravel(), minlength=len(faces))
@@ -135,9 +132,7 @@ class TetMesh:
 
         bf = faces[boundary_faces]
         bedge_rows = np.sort(bf[:, [(0, 1), (0, 2), (1, 2)]], axis=2).reshape(-1, 2)
-        key = edges[:, 0] * (self.vertices.shape[0] + 1) + edges[:, 1]
-        bkey = np.unique(bedge_rows[:, 0] * (self.vertices.shape[0] + 1) + bedge_rows[:, 1])
-        boundary_edges = np.searchsorted(key, bkey)
+        boundary_edges = np.searchsorted(_row_keys(edges, nv), np.unique(_row_keys(bedge_rows, nv)))
 
         for name, value in [
             ("edges", edges), ("faces", faces),
@@ -168,6 +163,22 @@ class TetMesh:
     @cached_property
     def volumes(self):
         return _signed_volumes(self.vertices, self.tets)
+
+
+def _row_keys(rows, nv):
+    """One int64 per row of vertex ids below ``nv``, increasing in the rows' lexicographic order."""
+    if nv ** rows.shape[1] - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"{nv} vertices are too many for int64 keys of {rows.shape[1]} vertex ids")
+    keys = rows[:, 0]
+    for col in rows.T[1:]:
+        keys = keys * nv + col
+    return keys
+
+
+def _unique_rows(rows, nv):
+    """The distinct rows in lexicographic order, and the index of each row among them."""
+    _, first, inverse = np.unique(_row_keys(rows, nv), return_index=True, return_inverse=True)
+    return rows[first], inverse
 
 
 def _signed_volumes(verts, tets):
@@ -205,7 +216,7 @@ class QuadGeometry:
     @classmethod
     def affine(cls, rule: RefQuadratureRule, jac, origin, det, inv) -> "QuadGeometry":
         """Straight elements, from (slices of) the arrays of :func:`all_affine_data`."""
-        points = origin[:, None, :] + np.einsum("epc,lc->elp", jac, rule.points)
+        points = origin[:, None, :] + rule.points @ np.swapaxes(jac, 1, 2)
         weights = np.abs(det)[:, None] * rule.weights[None, :]
         return cls(rule, points, weights, jac[:, None], inv[:, None], det[:, None])
 
@@ -221,12 +232,18 @@ class QuadGeometry:
 
     def covariant(self, x):
         """Push reference values x, any (E or 1, L, ..., 3) array: x J^-1."""
-        return np.einsum("el...c,elcp->el...p", x, self.inv)
+        return self._times(x, self.inv)
 
     def contravariant(self, x):
         """Push reference curls x, any (E or 1, L, ..., 3) array: x J^T / det J."""
-        out = np.einsum("el...c,elpc->el...p", x, self.jac)
-        return out / self.det.reshape(self.det.shape + (1,) * (out.ndim - 2))
+        return self._times(x, np.swapaxes(self.jac, 2, 3) / self.det[:, :, None, None])
+
+    @staticmethod
+    def _times(x, mats):
+        """x times mats (E, 1 or L, 3, 3): one product per element on straight
+        elements, one per point on curved ones."""
+        out = x.reshape(x.shape[0], mats.shape[1], -1, 3) @ mats.astype(x.dtype, copy=False)
+        return out.reshape(out.shape[:1] + x.shape[1:])
 
 
 def structured_cube_mesh(n: int) -> TetMesh:
@@ -242,22 +259,13 @@ def structured_cube_mesh(n: int) -> TetMesh:
     X, Y, Z = np.meshgrid(coords, coords, coords, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
-    tets = []
-    unit = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for perm in permutations((0, 1, 2)):
-                    p0 = base
-                    p1 = p0 + unit[perm[0]]
-                    p2 = p1 + unit[perm[1]]
-                    p3 = p2 + unit[perm[2]]
-                    tets.append([vid(*p0), vid(*p1), vid(*p2), vid(*p3)])
-    return TetMesh(vertices, np.array(tets, dtype=np.int64))
+    # (6, 4, 3) corner offsets of the six chains, then the (n^3, 6, 4, 3) corners of every cell's chains
+    unit = np.eye(3, dtype=np.int64)
+    steps = np.array([[0 * unit[a], unit[a], unit[a] + unit[b], unit[a] + unit[b] + unit[c]]
+                      for a, b, c in permutations((0, 1, 2))])
+    cells = np.stack(np.meshgrid(*(np.arange(n),) * 3, indexing="ij"), axis=-1).reshape(-1, 1, 1, 3)
+    tets = (cells + steps) @ np.array([(n + 1) ** 2, n + 1, 1])      # vertex id of corner (i, j, k)
+    return TetMesh(vertices, tets.reshape(-1, 4))
 
 
 def mesh_metrics(mesh: TetMesh) -> dict:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from edgefem import assembly
 from edgefem.assembly import (
     Coefficients,
     MatrixField,
     QuadratureConfig,
+    SolutionField,
     VectorField,
     _dof_layout,
     _integrand,
     _orientation_transforms,
+    _push,
     _term_blocks,
     _terms,
     assemble,
@@ -16,7 +19,7 @@ from edgefem.assembly import (
     evaluate_forms,
     reference_config,
 )
-from edgefem.analysis import probe_matrix_field, probe_vector_field
+from edgefem.analysis import hcurl_error, probe_matrix_field, probe_vector_field
 from edgefem.mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data, structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule, tensorized_gl
@@ -330,7 +333,32 @@ def test_curved_integrand_matches_straight_forms_on_affine_map(rng, order):
     U[gdof[0]], V[gdof[0]] = u, v
     phi, load = evaluate_forms(mesh, order, coeffs, config, U, V)
 
-    curved = {kind: scale * _integrand(QuadGeometry.curved(rule, cmap), kind, coeff, basis, u[None], v[None])
-              for kind, rule, coeff, scale in _terms(coeffs, config)}
+    curved = {}
+    for kind, rule, coeff, scale in _terms(coeffs, config):
+        geo = QuadGeometry.curved(rule, cmap)
+        curved[kind] = scale * _integrand(geo, kind, coeff, _push(geo, kind, basis, u[None]),
+                                          _push(geo, kind, basis, v[None]))
     assert abs(curved["curl"] + curved["mass"] - phi) <= 1e-13 * abs(phi)
     assert abs(curved["load"] - load) <= 1e-13 * abs(load)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_one_element_chunks_match_default_chunking(rng, monkeypatch, order):
+    # chunking only splits sums over elements: one element per chunk must agree
+    entry = catalog("cube_oscillatory(10)")
+    mesh = structured_cube_mesh(2)
+    config = QuadratureConfig(PT4, PT5, PT15)
+    n_dofs = assembly._dof_layout(mesh, order)[0]
+    U, V = rng.standard_normal((2, n_dofs)) + 1j * rng.standard_normal((2, n_dofs))
+
+    def outputs():
+        system = assemble(mesh, order, entry.coefficients, config)
+        error = hcurl_error(SolutionField(mesh, order, U), (entry.exact, entry.exact_curl), 2 * order + 4)
+        return ([system.full_matrix.toarray(), system.full_rhs]
+                + [np.array(evaluate_forms(mesh, order, entry.coefficients, c, U, V)) for c in (config, reference_config())]
+                + [np.array([error.l2_error, error.curl_error])])
+
+    default = outputs()
+    monkeypatch.setattr(assembly, "_CHUNK_BUDGET", 1)
+    for chunked, whole in zip(outputs(), default):
+        assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()

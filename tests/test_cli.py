@@ -258,9 +258,13 @@ def test_convergence_fit_window_checked_at_load(tmp_path, capsys, monkeypatch):
     ("convergence", {"problem": "cube_poly", "mesh_ns": [2, "4", 8]}, "mesh_ns must be list[int]"),
     ("probe", {"kind": "curved", "below": "yes"}, "below must be bool, got 'yes'"),
     ("probe", {"kind": "curved", "order": True}, "order must be int, got True"),
+    ("convergence", {"problem": "cube_poly", "mesh_ns": [1, 2, 3], "label": "a/b"}, "label"),
+    ("probe", {"kind": "consistency", "mesh_ns": [1, 2, 3], "label": ""}, "label"),
+    ("probe", {"kind": "curved", "label": "x/y"}, "label"),
 ], ids=["convergence-rule", "convergence-problem", "consistency-rule", "consistency-problem",
         "consistency-order", "curved-mode", "curved-degree-below-zero", "fit_window-string",
-        "consistency-m-string", "mesh_ns-element-string", "curved-below-string", "curved-order-bool"])
+        "consistency-m-string", "mesh_ns-element-string", "curved-below-string", "curved-order-bool",
+        "convergence-label-path", "consistency-label-empty", "curved-label-path"])
 def test_main_rejects_bad_values_at_load(tmp_path, capsys, command, config, named):
     # exit 1 with a message naming the value, not a traceback after some levels
     path = tmp_path / "c.json"
@@ -270,8 +274,11 @@ def test_main_rejects_bad_values_at_load(tmp_path, capsys, command, config, name
     assert not (tmp_path / "out").exists()
 
 
-def test_main_requires_config(tmp_path):
+def test_main_requires_config(tmp_path, capsys):
     assert main(["convergence", "--out", str(tmp_path)]) == 1
+    missing = tmp_path / "nonexistent.json"
+    assert main(["convergence", "--config", str(missing), "--out", str(tmp_path)]) == 1
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_config_types_null_where_default_is_none(tmp_path):

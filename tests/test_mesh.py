@@ -1,19 +1,24 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
+from edgefem.analysis import shrunk_quadratic_map
 from edgefem.mesh import (
     CurvedMap,
     QuadGeometry,
     TetMesh,
+    _row_keys,
     all_affine_data,
     mesh_metrics,
     read_gmsh,
     structured_cube_mesh,
     write_gmsh,
 )
-from edgefem.reference_element import LOCAL_EDGES, REF_VERTICES
+from edgefem.quadrature import builtin_rule
+from edgefem.reference_element import LOCAL_EDGES, LOCAL_FACES, REF_VERTICES
 
-from conftest import point_rule, random_tet
+from conftest import point_rule, random_tet, tet_geometry
 
 
 def test_kuhn_split_unit_counts():
@@ -63,6 +68,65 @@ def test_edge_and_face_tables_sorted_unique():
     assert np.all(m.edges[:, 0] < m.edges[:, 1])
     assert np.all(np.diff(m.edges[:, 0] * m.n_vertices + m.edges[:, 1]) > 0)
     assert np.all(m.faces[:, 0] < m.faces[:, 1]) and np.all(m.faces[:, 1] < m.faces[:, 2])
+
+
+def test_structured_mesh_matches_cell_loop():
+    # the chains of every cell, cell by cell, as the reference for the vectorized build
+    n = 3
+    vid = lambda p: (p[0] * (n + 1) + p[1]) * (n + 1) + p[2]
+    tets = []
+    for cell in np.ndindex(n, n, n):
+        for perm in permutations(range(3)):
+            corner = np.array(cell)
+            chain = [vid(corner)]
+            for axis in perm:
+                corner = corner + np.eye(3, dtype=int)[axis]
+                chain.append(vid(corner))
+            tets.append(chain)
+    mesh = structured_cube_mesh(n)
+    assert np.array_equal(mesh.tets, TetMesh(mesh.vertices, np.array(tets)).tets)
+
+
+def test_topology_matches_row_unique_on_relabelled_mesh(rng):
+    # integer keys must number edges and faces as a lexicographic unique of the rows does
+    base = structured_cube_mesh(3)
+    perm = rng.permutation(base.n_vertices)
+    mesh = TetMesh(base.vertices[perm], np.argsort(perm)[base.tets])
+    for local, table, tet2 in ((LOCAL_EDGES, mesh.edges, mesh.tet2edge), (LOCAL_FACES, mesh.faces, mesh.tet2face)):
+        rows = np.sort(mesh.tets[:, local], axis=2).reshape(-1, len(local[0]))
+        unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(table, unique)
+        assert np.array_equal(tet2.ravel(), inverse.ravel())
+
+
+def test_row_keys_refuse_int64_overflow():
+    rows = np.array([[0, 1, 2]])
+    assert _row_keys(rows, 2 ** 21)[0] == 2 ** 21 + 2
+    with pytest.raises(ValueError, match="too many for int64 keys"):
+        _row_keys(rows, 2 ** 21 + 1)
+
+
+def _per_point_push(x, mats):
+    """x (E or 1, L, m, 3) times mats (E, 1 or L, 3, 3), one vector at a time."""
+    out = np.empty((len(mats),) + x.shape[1:], dtype=np.result_type(x, mats))
+    for e, l, i in np.ndindex(out.shape[:3]):
+        out[e, l, i] = x[min(e, len(x) - 1), l, i] @ mats[e, min(l, mats.shape[1] - 1)]
+    return out
+
+
+@pytest.mark.parametrize("branch", ["straight", "curved"])
+def test_pushes_match_per_point_loop(rng, branch):
+    rule = builtin_rule("pt5")
+    if branch == "straight":
+        geo = tet_geometry(structured_cube_mesh(1), np.arange(6), rule)
+    else:
+        geo = QuadGeometry.curved(rule, shrunk_quadratic_map(0.5))
+    det = geo.det[:, :, None, None]
+    for lead in (1, len(geo.det)):
+        x = rng.standard_normal((lead, rule.npoints, 4, 3)) + 1j * rng.standard_normal((lead, rule.npoints, 4, 3))
+        for pushed, expected in ((geo.covariant(x), _per_point_push(x, geo.inv)),
+                                 (geo.contravariant(x), _per_point_push(x, np.swapaxes(geo.jac, 2, 3)) / det)):
+            assert np.abs(pushed - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_element_map_reference_tet():
