@@ -115,8 +115,9 @@ def records_to_csv(records) -> str:
 def _error_integrals(sol: SolutionField, exact, exact_curl, rule: RefQuadratureRule):
     affine = all_affine_data(sol.mesh)
     squares = [0.0, 0.0]
-    # per point: the pushed fields and the products they come from, the exact fields and the differences
-    for lo, hi in _chunks(sol.mesh.n_tets, 24 * rule.npoints):
+    # per point: values and curls (6) and the products they are pushed from (6), one exact
+    # field, its difference and the weighted difference (6), the physical point and weight (2)
+    for lo, hi in _chunks(sol.mesh.n_tets, 20 * rule.npoints):
         geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in affine))
         flat = geo.points.reshape(-1, 3)
         for i, (discrete, fn) in enumerate(zip(sol.eval_elements(geo, slice(lo, hi)), (exact, exact_curl))):

@@ -16,9 +16,8 @@ assemblies of the same inputs are bit-identical.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +39,7 @@ __all__ = [
     "dump_matrix",
 ]
 
-_CHUNK_BUDGET = 3_000_000   # complex values of scratch held by one chunk of a per-element kernel
+_CHUNK_BUDGET = 1_500_000   # complex values of scratch held by one chunk of a per-element kernel
 
 
 class _Field:
@@ -253,12 +252,13 @@ def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, sc
     """
     nt, nd, npts = mesh.n_tets, basis.n_dofs, rule.npoints
     out = np.zeros((nt, nd) if kind == "load" else (nt, nd, nd), dtype=complex)
-    # per element: the pushed table, its transposed complex copy, (coefficient u) and its transpose
-    for lo, hi in _chunks(nt, 4 * npts * nd * 3):
+    # per element and pushed table entry: the table and its transpose (half each, being real),
+    # c u with the temporaries that form it, and its transpose
+    for lo, hi in _chunks(nt, 5 * npts * nd * 3):
         geo = QuadGeometry.affine(rule, jac[lo:hi], origin[lo:hi], det[lo:hi], inv[lo:hi])
         phys = _push(geo, kind, basis)                                  # (E, L, nd, 3)
-        coeff = coeff_field(geo.points.reshape(-1, 3)).reshape(phys.shape[:2] + coeff_field.shape)
-        coeff = (scale * geo.weights).reshape(phys.shape[:2] + (1,) * len(coeff_field.shape)) * coeff
+        w = (scale * geo.weights).reshape(phys.shape[:2] + (1,) * len(coeff_field.shape))
+        coeff = w * coeff_field(geo.points.reshape(-1, 3)).reshape(phys.shape[:2] + coeff_field.shape)
         rows = phys.transpose(0, 2, 1, 3).reshape(hi - lo, nd, 3 * npts)
         if kind == "load":
             out[lo:hi] = _real_times_complex(rows, coeff.reshape(hi - lo, 3 * npts, 1))[:, :, 0]
@@ -321,13 +321,15 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
     phi = load = 0.0 + 0.0j
     # terms with the same rule share each chunk's geometry and pushed fields
     for rule in {id(rule): rule for _, rule, _, _ in terms}.values():
-        # per point: the pushed u and v of both kinds, a matrix coefficient, c u and w c u
-        for lo, hi in _chunks(mesh.n_tets, 16 * rule.npoints):
+        # per point: u and v pushed both ways (12), a matrix coefficient and its real
+        # evaluation (14), c u and w c u (6), the physical point and weight (2)
+        for lo, hi in _chunks(mesh.n_tets, 32 * rule.npoints):
             geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in affine))
-            pushed = functools.cache(lambda curl, i: _push(geo, "curl" if curl else "mass", basis, local[i][lo:hi]))
+            fields = cache(lambda curl, i: _push(geo, "curl" if curl else "mass", basis, local[i][lo:hi]))
             for kind, _, coeff, scale in (t for t in terms if t[1] is rule):
-                u = None if kind == "load" else pushed(kind == "curl", 0)
-                value = scale * _integrand(geo, kind, coeff, u, pushed(kind == "curl", 1))
+                curl = kind == "curl"
+                u = None if kind == "load" else fields(curl, 0)
+                value = scale * _integrand(geo, kind, coeff, u, fields(curl, 1))
                 if kind == "load":
                     load += value
                 else:
