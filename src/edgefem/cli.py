@@ -348,6 +348,9 @@ def main(argv=None) -> int:
     if args.command == "quad-check":
         try:
             report = run_quadcheck(args.out, custom_rules_path=args.config)
+        except OSError as exc:
+            print(exc, file=sys.stderr)
+            return 1
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 2

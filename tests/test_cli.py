@@ -160,6 +160,9 @@ def test_main_quadcheck_exit_code(tmp_path, capsys):
     assert main(["quad-check", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "pt15" in out
+    missing = tmp_path / "missing_rules.txt"
+    assert main(["quad-check", "--config", str(missing), "--out", str(tmp_path)]) == 1
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_main_convergence_assert_gate(tmp_path):
