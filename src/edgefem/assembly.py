@@ -321,8 +321,8 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
     phi = load = 0.0 + 0.0j
     # terms with the same rule share each chunk's geometry and pushed fields
     for rule in {id(rule): rule for _, rule, _, _ in terms}.values():
-        # per point: u and v pushed both ways (12), a matrix coefficient and its real
-        # evaluation (14), c u and w c u (6), the physical point and weight (2)
+        # per point: u and v pushed both ways (12), a matrix coefficient and the temporaries
+        # of its evaluation (14), c u and w c u (6), the physical point and weight (2)
         for lo, hi in _chunks(mesh.n_tets, 32 * rule.npoints):
             geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in affine))
             fields = cache(lambda curl, i: _push(geo, "curl" if curl else "mass", basis, local[i][lo:hi]))
