@@ -20,7 +20,7 @@ from .quadrature import (
     verify_exactness,
 )
 from .reference_element import CurlBasis, curl_basis
-from .mesh import TetMesh, CurvedMap, QuadGeometry, structured_cube_mesh, read_gmsh, write_gmsh, mesh_metrics
+from .mesh import TetMesh, CurvedMap, QuadGeometry, structured_cube_mesh, read_gmsh, write_gmsh
 from .assembly import Coefficients, QuadratureConfig, SparseSystem, SolutionField, assemble, evaluate_forms
 from .solver import SolveReport, SolverBreakdown, solve, solve_dense
 from .analysis import ErrorRecord, RateFit, hcurl_error, fit_rate, consistency_error, curved_local_error

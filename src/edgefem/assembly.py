@@ -36,46 +36,48 @@ __all__ = [
     "assemble",
     "evaluate_forms",
     "reference_config",
-    "dump_matrix",
 ]
 
 _CHUNK_BUDGET = 1_500_000   # complex values of scratch held by one chunk of a per-element kernel
 
 
 class _Field:
-    """A (possibly constant) field of complex values of shape ``shape`` per point."""
+    """A (possibly constant) field of complex values per point, each of one of the shapes
+    ``shapes``; a matrix field of scalars means those multiples of I."""
 
     def __init__(self, value):
         self.constant, self._fn = None, value
         if not callable(value):
             val = np.asarray(value, dtype=complex)
-            if val.shape == () and len(self.shape) == 2:
-                val = val * np.eye(3)
-            if val.shape != self.shape:
-                raise ValueError(f"constant {type(self).__name__} must have shape {self.shape}")
+            if () in self.shapes and val.shape == (3, 3) and np.array_equal(val, val[0, 0] * np.eye(3)):
+                val = val[0, 0]
+            if val.shape not in self.shapes:
+                raise ValueError(f"constant {type(self).__name__} must have shape {self.shapes[0]}")
             self.constant, self._fn = val, None
 
     def __call__(self, pts):
+        """Values at the points (N, 3), of shape (N,) + one of ``shapes``."""
         pts = np.atleast_2d(pts)
-        shape = (len(pts),) + self.shape
         if self.constant is not None:
-            return np.broadcast_to(self.constant, shape)
+            return np.broadcast_to(self.constant, (len(pts),) + self.constant.shape)
         out = np.asarray(self._fn(pts), dtype=complex)
-        if out.shape != shape:
-            raise ValueError(f"{type(self).__name__} must return {shape}, got {out.shape}")
+        if out.shape[:1] != (len(pts),) or out.shape[1:] not in self.shapes:
+            expected = " or ".join(str((len(pts),) + shape) for shape in self.shapes)
+            raise ValueError(f"{type(self).__name__} must return {expected}, got {out.shape}")
         return out
 
 
 class MatrixField(_Field):
-    """A field of complex symmetric 3x3 matrices; a scalar constant means that multiple of I."""
+    """A field of complex symmetric 3x3 matrices; a scalar, a scalar per point or an exact
+    multiple of I is held as a scalar field, that multiple of I."""
 
-    shape = (3, 3)
+    shapes = ((3, 3), ())
 
 
 class VectorField(_Field):
     """A field of complex 3-vectors."""
 
-    shape = (3,)
+    shapes = ((3,),)
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class Coefficients:
         sample = np.array([[-0.9, 0.4, 0.7], [0.0, 0.0, 0.0], [0.8, -0.5, -1.0], [0.3, 0.9, -0.2]])
         for fld in (self.mu_inv, self.eps):
             mats = fld(sample)
-            if np.abs(mats - np.swapaxes(mats, 1, 2)).max() > 1e-14:
+            if mats.ndim == 3 and np.abs(mats - np.swapaxes(mats, 1, 2)).max() > 1e-14:
                 raise ValueError("coefficient matrices must be symmetric")
 
 
@@ -227,7 +229,10 @@ def _real_times_complex(a, b):
 
 
 def _coefficient_times(c, u):
-    """c u at every point: c (..., 3, 3) matrices times u (..., 3) vectors, column by column."""
+    """c u at every point, for u (..., 3) vectors: c (...) are scalars, multiples of I, and
+    c (..., 3, 3) matrices are applied column by column."""
+    if c.ndim < u.ndim:
+        return c[..., None] * u
     return c[..., 0] * u[..., :1] + c[..., 1] * u[..., 1:2] + c[..., 2] * u[..., 2:]
 
 
@@ -236,7 +241,7 @@ def _integrand(geo: QuadGeometry, kind: str, coeff, u, v):
     w coeff . conj v for 'load' (``u`` unused), from the pushed fields u, v (E, L, 3)."""
     c = coeff(geo.points.reshape(-1, 3))
     if kind != "load":
-        c = _coefficient_times(c.reshape(u.shape + (3,)), u)
+        c = _coefficient_times(c.reshape(u.shape[:-1] + c.shape[1:]), u)
     return np.vdot(v, geo.weights[..., None] * c.reshape(v.shape))
 
 
@@ -257,8 +262,9 @@ def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, sc
     for lo, hi in _chunks(nt, 5 * npts * nd * 3):
         geo = QuadGeometry.affine(rule, jac[lo:hi], origin[lo:hi], det[lo:hi], inv[lo:hi])
         phys = _push(geo, kind, basis)                                  # (E, L, nd, 3)
-        w = (scale * geo.weights).reshape(phys.shape[:2] + (1,) * len(coeff_field.shape))
-        coeff = w * coeff_field(geo.points.reshape(-1, 3)).reshape(phys.shape[:2] + coeff_field.shape)
+        c = coeff_field(geo.points.reshape(-1, 3))                      # (N,), (N, 3) or (N, 3, 3)
+        w = (scale * geo.weights).reshape(phys.shape[:2] + (1,) * (c.ndim - 1))
+        coeff = w * c.reshape(phys.shape[:2] + c.shape[1:])
         rows = phys.transpose(0, 2, 1, 3).reshape(hi - lo, nd, 3 * npts)
         if kind == "load":
             out[lo:hi] = _real_times_complex(rows, coeff.reshape(hi - lo, 3 * npts, 1))[:, :, 0]
@@ -279,8 +285,13 @@ def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quadrature
     A, M, f = (_term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff, scale)
                for kind, rule, coeff, scale in _terms(coeffs, config))
 
+    # only the sum of the curl-curl and mass blocks is used; freeing them before the
+    # scatter keeps them out of the peak memory of assembly
+    A += M
+    del M
     X = _orientation_transforms(mesh, basis)
-    K = np.swapaxes(X, 1, 2) @ (A + M) @ X
+    K = np.swapaxes(X, 1, 2) @ A @ X
+    del A
     fo = (f[:, None] @ X)[:, 0]
 
     nd = basis.n_dofs
@@ -335,10 +346,3 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
                 else:
                     phi += value
     return complex(phi), complex(load)
-
-
-def dump_matrix(system: SparseSystem, full: bool = False) -> str:
-    """Coordinate text dump `i j re im` (0-based) of the assembled matrix."""
-    mat = (system.full_matrix if full else system.matrix).tocoo()
-    lines = [f"{i} {j} {v.real:.17g} {v.imag:.17g}" for i, j, v in zip(mat.row, mat.col, mat.data)]
-    return "\n".join(lines) + "\n"

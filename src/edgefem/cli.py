@@ -268,19 +268,33 @@ def run_preasymptotic(config: ExperimentConfig, out_dir):
     return records, exit_idx
 
 
+def _dump_fields(no, parts, kinds, expected):
+    """The fields of one rules-file line, converted by ``kinds``; ValueError naming the line."""
+    try:
+        if len(parts) != len(kinds):
+            raise ValueError
+        return [kind(t) for kind, t in zip(kinds, parts)]
+    except ValueError:
+        raise ValueError(f"rules file line {no}: expected '{expected}', got {' '.join(parts)!r}") from None
+
+
 def _parse_rule_dump(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Rules of a dump: a line ``label degree npoints``, then ``npoints`` lines ``x y z w``.
+
+    Raises ValueError naming the line of a malformed header or point row, or of a rule
+    whose points the file ends before.
+    """
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     rules = []
     pos = 0
     while pos < len(lines):
-        parts = lines[pos].split()
-        label, degree, npts = parts[0], int(parts[1]), int(parts[2])
-        pts, wts = [], []
-        for row in lines[pos + 1: pos + 1 + npts]:
-            x, y, z, w = (float(t) for t in row.split())
-            pts.append([x, y, z])
-            wts.append(w)
-        rules.append((label, degree, np.array(pts), np.array(wts)))
+        no, parts = lines[pos]
+        label, degree, npts = _dump_fields(no, parts, (str, int, int), "label degree npoints")
+        rows = lines[pos + 1: pos + 1 + npts]
+        if npts < 1 or len(rows) < npts:
+            raise ValueError(f"rules file line {no}: rule {label!r} has {npts} points, {len(rows)} follow")
+        values = np.array([_dump_fields(row_no, row, (float,) * 4, "x y z w") for row_no, row in rows])
+        rules.append((label, degree, values[:, :3], values[:, 3]))
         pos += 1 + npts
     return rules
 
@@ -348,7 +362,7 @@ def main(argv=None) -> int:
     if args.command == "quad-check":
         try:
             report = run_quadcheck(args.out, custom_rules_path=args.config)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             print(exc, file=sys.stderr)
             return 1
         except RuntimeError as exc:

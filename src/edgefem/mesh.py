@@ -24,7 +24,6 @@ __all__ = [
     "structured_cube_mesh",
     "read_gmsh",
     "write_gmsh",
-    "mesh_metrics",
 ]
 
 
@@ -114,9 +113,10 @@ class TetMesh:
         tets.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "tets", tets)
-        self._build_topology(diam)
+        self._build_topology()
+        object.__setattr__(self, "h", float(diam.max()))
 
-    def _build_topology(self, diam):
+    def _build_topology(self):
         tets, nv = self.tets, self.n_vertices
         nt = len(tets)
 
@@ -138,11 +138,9 @@ class TetMesh:
             ("edges", edges), ("faces", faces),
             ("tet2edge", tet2edge), ("tet2face", tet2face),
             ("boundary_faces", boundary_faces), ("boundary_edges", boundary_edges),
-            ("tet_diameters", diam),
         ]:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "h", float(diam.max()))
 
     @property
     def n_vertices(self):
@@ -266,26 +264,6 @@ def structured_cube_mesh(n: int) -> TetMesh:
     cells = np.stack(np.meshgrid(*(np.arange(n),) * 3, indexing="ij"), axis=-1).reshape(-1, 1, 1, 3)
     tets = (cells + steps) @ np.array([(n + 1) ** 2, n + 1, 1])      # vertex id of corner (i, j, k)
     return TetMesh(vertices, tets.reshape(-1, 4))
-
-
-def mesh_metrics(mesh: TetMesh) -> dict:
-    """Mesh size and shape regularity (diameter over insphere diameter)."""
-    verts = mesh.vertices
-    tets = mesh.tets
-    vols = np.abs(mesh.volumes)
-    corners = verts[tets]
-    areas = np.zeros(len(tets))
-    for (a, b, c) in LOCAL_FACES:
-        e1 = corners[:, b] - corners[:, a]
-        e2 = corners[:, c] - corners[:, a]
-        areas += 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
-    inradius = 3.0 * vols / areas
-    ratio = mesh.tet_diameters / (2.0 * inradius)
-    return {
-        "h": float(mesh.tet_diameters.max()),
-        "h_min": float(mesh.tet_diameters.min()),
-        "regularity": float(ratio.max()),
-    }
 
 
 # -- Gmsh MSH 2.2 ASCII ---------------------------------------------------------

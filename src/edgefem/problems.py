@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import Coefficients, MatrixField, VectorField
+from .assembly import Coefficients, MatrixField, VectorField, _coefficient_times
 
 __all__ = ["ProblemCatalogEntry", "catalog", "residual_check", "MU0", "OMEGA"]
 
@@ -63,13 +63,6 @@ def _curl_mu_inv_curl(pts):
 
 
 def _entry(name, eps0_profile):
-    def eps_field(pts):
-        pts = np.atleast_2d(pts)
-        e0 = eps0_profile(pts[:, 2])
-        out = np.zeros((len(pts), 3, 3), dtype=complex)
-        out[:, 0, 0] = out[:, 1, 1] = out[:, 2, 2] = e0
-        return out
-
     def current(pts):
         pts = np.atleast_2d(pts)
         e0 = eps0_profile(pts[:, 2])
@@ -82,7 +75,7 @@ def _entry(name, eps0_profile):
 
     coeffs = Coefficients(
         mu_inv=MatrixField(np.eye(3) / MU0),
-        eps=MatrixField(eps_field),
+        eps=MatrixField(lambda pts: eps0_profile(pts[:, 2])),
         omega=OMEGA,
         current=VectorField(current),
     )
@@ -116,7 +109,7 @@ def residual_check(entry: ProblemCatalogEntry, n_points: int = 50, seed: int = 2
     eps = entry.coefficients.eps(pts)
     res = (
         entry.curl_mu_inv_curl(pts)
-        - omega ** 2 * np.einsum("npq,nq->np", eps, entry.exact(pts))
+        - omega ** 2 * _coefficient_times(eps, entry.exact(pts))
         + 1j * omega * entry.coefficients.current(pts)
     )
     return float(np.abs(res).max())

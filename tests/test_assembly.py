@@ -15,7 +15,6 @@ from edgefem.assembly import (
     _term_blocks,
     _terms,
     assemble,
-    dump_matrix,
     evaluate_forms,
     reference_config,
 )
@@ -293,18 +292,6 @@ def test_solution_field_eval_consistency():
             assert np.abs(c - curls_vec[row, p]).max() <= 1e-14
 
 
-def test_dump_matrix_format():
-    prob = catalog("cube_poly")
-    system = assemble(structured_cube_mesh(1), 1, prob.coefficients,
-                      QuadratureConfig(OFF, CEN, CEN))
-    text = dump_matrix(system)
-    lines = text.strip().split("\n")
-    assert len(lines) == system.matrix.nnz
-    i, j, re, im = lines[0].split()
-    assert i == "0" and j == "0"
-    assert float(im) == 0.0
-
-
 def test_matrix_field_vector_field_validation():
     with pytest.raises(ValueError):
         MatrixField(np.ones((2, 2)))
@@ -313,6 +300,56 @@ def test_matrix_field_vector_field_validation():
     fld = MatrixField(lambda pts: np.ones((len(pts), 3)))
     with pytest.raises(ValueError):
         fld(np.zeros((2, 3)))
+    # a scalar per point is a multiple of I for a matrix field, but no vector field
+    assert MatrixField(lambda pts: pts[:, 0])(np.ones((2, 3))).shape == (2,)
+    fld = VectorField(lambda pts: pts[:, 0])
+    with pytest.raises(ValueError):
+        fld(np.zeros((2, 3)))
+
+
+def _profile(pts):
+    return 2.0 + np.sin(pts[:, 0] + 2.0 * pts[:, 1]) * np.cos(3.0 * pts[:, 2])
+
+
+def _diagonal(scalar):
+    """The field of a scalar profile as dense (N, 3, 3) multiples of I."""
+    return lambda pts: scalar(pts)[:, None, None] * np.eye(3)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_scalar_coefficients_match_dense_diagonal(rng, order):
+    # a scalar per point means that multiple of I: the scalar kernel path must
+    # reproduce the general 3x3 path fed the same field as diagonal matrices
+    base = structured_cube_mesh(2)
+    mesh = TetMesh(base.vertices + rng.uniform(-0.1, 0.1, base.vertices.shape), base.tets)
+    mu_inv = lambda pts: 0.1 * _profile(pts)
+    eps = lambda pts: (-1.0 + 0.3j) * _profile(pts[:, ::-1])
+    scalar = Coefficients(mu_inv=mu_inv, eps=eps, omega=1.3, current=probe_vector_field)
+    dense = Coefficients(mu_inv=_diagonal(mu_inv), eps=_diagonal(eps), omega=1.3, current=probe_vector_field)
+    assert scalar.eps(mesh.vertices).shape == (mesh.n_vertices,)
+    config = QuadratureConfig(PT4, PT5, PT15)
+    n_dofs = _dof_layout(mesh, order)[0]
+    U, V = rng.standard_normal((2, n_dofs)) + 1j * rng.standard_normal((2, n_dofs))
+
+    def outputs(coeffs):
+        system = assemble(mesh, order, coeffs, config)
+        return [system.full_matrix.toarray(), system.full_rhs] + [
+            np.array(evaluate_forms(mesh, order, coeffs, c, U, V)) for c in (config, reference_config())]
+
+    for got, want in zip(outputs(scalar), outputs(dense)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_constant_multiple_of_identity_is_a_scalar():
+    c = -2.5 + 0.5j
+    assert MatrixField(c * np.eye(3)).constant.shape == ()
+    mesh = structured_cube_mesh(1)
+    basis = curl_basis(2)
+    config = QuadratureConfig(PT4, PT5, PT15)
+    blocks = [element_blocks(mesh, basis, Coefficients(mu_inv=f, eps=f, omega=1.0, current=np.zeros(3)), config)
+              for f in (MatrixField(c * np.eye(3)), MatrixField(c))]
+    for a, b in zip(*blocks):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("order", [1, 2])

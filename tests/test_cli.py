@@ -165,6 +165,19 @@ def test_main_quadcheck_exit_code(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, named", [
+    ("garbage\n", "line 1: expected 'label degree npoints', got 'garbage'"),
+    ("r 3 2\n\n0.1 0.2\n0.1 0.2 0.3 0.4\n", "line 3: expected 'x y z w', got '0.1 0.2'"),
+    ("r 3 2\n0.1 0.2 0.3 0.4\n", "line 1: rule 'r' has 2 points, 1 follow"),
+    ("r 3 0\n", "line 1: rule 'r' has 0 points, 0 follow"),
+], ids=["header", "point-row", "cut-short", "no-points"])
+def test_main_quadcheck_malformed_rules_file(tmp_path, capsys, text, named):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(text)
+    assert main(["quad-check", "--config", str(rules), "--out", str(tmp_path)]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_main_convergence_assert_gate(tmp_path):
     cfg = {"problem": "cube_poly", "order": 1, "mesh_ns": [1, 2, 3],
            "q1": "pt1_offcenter", "q2": "pt1_centroid", "q3": "pt1_centroid",

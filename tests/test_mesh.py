@@ -2,6 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgefem.analysis import shrunk_quadratic_map
 from edgefem.mesh import (
@@ -10,7 +11,6 @@ from edgefem.mesh import (
     TetMesh,
     _row_keys,
     all_affine_data,
-    mesh_metrics,
     read_gmsh,
     structured_cube_mesh,
     write_gmsh,
@@ -219,26 +219,16 @@ def test_curved_map_rejects_inverted_configuration():
         CurvedMap(ctrl)
 
 
-def test_mesh_metrics_structured():
-    for n in (1, 2, 4):
-        m = structured_cube_mesh(n)
-        got = mesh_metrics(m)
-        assert got["h"] == pytest.approx(2.0 * np.sqrt(3.0) / n, rel=1e-13)
-    h2 = mesh_metrics(structured_cube_mesh(2))["h"]
-    h4 = mesh_metrics(structured_cube_mesh(4))["h"]
-    assert h4 == pytest.approx(h2 / 2.0, rel=1e-13)
-
-
-def test_mesh_metrics_regular_tet():
-    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                      [0.5, np.sqrt(3.0) / 2.0, 0.0],
-                      [0.5, np.sqrt(3.0) / 6.0, np.sqrt(6.0) / 3.0]])
-    mesh = TetMesh(verts, np.array([[0, 1, 2, 3]]))
-    assert mesh_metrics(mesh)["h"] == pytest.approx(1.0, rel=1e-12)
-
-
 def test_quasi_uniformity_of_structured_family():
-    ratios = [mesh_metrics(structured_cube_mesh(n))["regularity"] for n in (1, 2, 3)]
+    # shape regularity: the largest tet diameter over insphere diameter
+    def regularity(mesh):
+        corners = mesh.vertices[mesh.tets]
+        diam = np.linalg.norm(corners[:, :, None] - corners[:, None], axis=-1).max(axis=(1, 2))
+        areas = sum(0.5 * np.linalg.norm(np.cross(corners[:, b] - corners[:, a], corners[:, c] - corners[:, a]), axis=1)
+                    for a, b, c in LOCAL_FACES)
+        return (diam * areas / (6.0 * np.abs(mesh.volumes))).max()
+
+    ratios = [regularity(structured_cube_mesh(n)) for n in (1, 2, 3)]
     assert max(ratios) - min(ratios) <= 1e-12
 
 
@@ -265,6 +255,23 @@ def test_gmsh_round_trip(tmp_path):
     assert np.abs(m.vertices - m2.vertices).max() <= 1e-15
     assert np.array_equal(m.edges, m2.edges)
     assert np.array_equal(m.boundary_faces, m2.boundary_faces)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_gmsh_round_trip_relabelled_jiggled(tmp_path_factory, n, seed):
+    # %.17g writes every float exactly, so the mesh and all its topology come back equal
+    rng = np.random.default_rng(seed)
+    base = structured_cube_mesh(n)
+    perm = rng.permutation(base.n_vertices)
+    vertices = np.empty_like(base.vertices)
+    vertices[perm] = base.vertices + rng.uniform(-0.1, 0.1, base.vertices.shape) / n
+    mesh = TetMesh(vertices, perm[base.tets])
+    path = tmp_path_factory.mktemp("gmsh") / "mesh.msh"
+    write_gmsh(mesh, path)
+    back = read_gmsh(path)
+    for name in ("vertices", "tets", "edges", "faces", "tet2edge", "tet2face", "boundary_edges", "boundary_faces"):
+        assert np.array_equal(getattr(back, name), getattr(mesh, name)), name
 
 
 def test_gmsh_malformed_section(tmp_path):
