@@ -17,16 +17,16 @@ import numpy as np
 
 from .assembly import (
     Coefficients,
+    EdgeSpace,
     QuadratureConfig,
     SolutionField,
     _chunks,
-    _dof_layout,
     _integrand,
     _push,
     evaluate_forms,
     reference_config,
 )
-from .mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data, structured_cube_mesh
+from .mesh import CurvedMap, QuadGeometry, TetMesh, structured_cube_mesh
 from .quadrature import RefQuadratureRule, _gl01, builtin_rule, rule_for_degree, tensorized_gl
 from .reference_element import LOCAL_EDGES, REF_VERTICES, _tri_rule, curl_basis
 
@@ -97,9 +97,12 @@ def fit_rate(records, x_axis: str = "dofs", window: int = 0) -> RateFit:
     return RateFit(float(slope), float(intercept), len(xs), resid)
 
 
-def _check_rate_meshes(mesh_ns):
-    """Raise before any level is computed when ``mesh_ns`` is too short to fit a rate."""
-    if len(mesh_ns) < 3:
+def _check_mesh_ns(mesh_ns, rate: bool):
+    """Raise before any level is computed unless ``mesh_ns`` strictly increases from n >= 1 and,
+    for a rate fit, lists at least 3 meshes."""
+    if any(b <= a for a, b in zip([0, *mesh_ns], mesh_ns)):
+        raise ValueError(f"mesh_ns must be strictly increasing with every n >= 1, got {list(mesh_ns)}")
+    if rate and len(mesh_ns) < 3:
         raise ValueError(f"mesh_ns must list at least 3 meshes to fit a rate, got {list(mesh_ns)}")
 
 
@@ -113,12 +116,12 @@ def records_to_csv(records) -> str:
 
 
 def _error_integrals(sol: SolutionField, exact, exact_curl, rule: RefQuadratureRule):
-    affine = all_affine_data(sol.mesh)
+    space = sol.space
     squares = [0.0, 0.0]
     # per point: values and curls (6) and the products they are pushed from (6), one exact
     # field, its difference and the weighted difference (6), the physical point and weight (2)
-    for lo, hi in _chunks(sol.mesh.n_tets, 20 * rule.npoints):
-        geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in affine))
+    for lo, hi in _chunks(space.mesh.n_tets, 20 * rule.npoints):
+        geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in space.affine))
         flat = geo.points.reshape(-1, 3)
         for i, (discrete, fn) in enumerate(zip(sol.eval_elements(geo, slice(lo, hi)), (exact, exact_curl))):
             diff = discrete - np.asarray(fn(flat)).reshape(discrete.shape)
@@ -133,33 +136,31 @@ def hcurl_error(sol: SolutionField, exact_pair, quad_degree: int,
     ``exact_pair`` is (E, curl E), both callables mapping (N, 3) points to
     (N, 3) values.  The integration rule is certified to ``quad_degree``.
     """
-    order = sol.order
-    if quad_degree < 2 * order + 4:
+    if quad_degree < 2 * sol.space.order + 4:
         raise ValueError("quad_degree must be at least 2k+4")
     rule = rule_for_degree(quad_degree)
     l2_sq, curl_sq = _error_integrals(sol, exact_pair[0], exact_pair[1], rule)
-    return ErrorRecord(n=n, h=sol.mesh.h, dofs=dofs,
+    return ErrorRecord(n=n, h=sol.space.mesh.h, dofs=dofs,
                        l2_error=math.sqrt(l2_sq), curl_error=math.sqrt(curl_sq),
                        iterations=iterations)
 
 
-def discrete_hcurl_norm(mesh: TetMesh, order: int, dofs: np.ndarray) -> float:
-    """sqrt(||u||^2 + ||curl u||^2) of a discrete field given by full dofs."""
-    sol = SolutionField(mesh, order, dofs)
-    rule = rule_for_degree(2 * order + 2)
+def discrete_hcurl_norm(sol: SolutionField) -> float:
+    """sqrt(||u||^2 + ||curl u||^2) of a discrete field."""
+    rule = rule_for_degree(2 * sol.space.order + 2)
     zero = lambda pts: np.zeros((len(pts), 3))
     l2_sq, curl_sq = _error_integrals(sol, zero, zero, rule)
     return math.sqrt(l2_sq + curl_sq)
 
 
-def interpolate(mesh: TetMesh, order: int, field) -> np.ndarray:
+def interpolate(space: EdgeSpace, field) -> np.ndarray:
     """Tangential-moment interpolant of a smooth vector field, full dof layout.
 
     Evaluates the same edge/face functionals that define the global dofs, so
     a field already in the discrete space is reproduced exactly.
     """
-    n_dofs, _, _ = _dof_layout(mesh, order)
-    out = np.zeros(n_dofs, dtype=complex)
+    mesh = space.mesh
+    out = np.zeros(space.n_dofs, dtype=complex)
 
     s, w = _gl01(8)
     a = mesh.vertices[mesh.edges[:, 0]]
@@ -167,7 +168,7 @@ def interpolate(mesh: TetMesh, order: int, field) -> np.ndarray:
     pts = a[:, None, :] + s[None, :, None] * d[:, None, :]
     vals = np.asarray(field(pts.reshape(-1, 3)), dtype=complex).reshape(len(a), len(s), 3)
     mom0 = np.einsum("l,elc,ec->e", w, vals, d)
-    if order == 1:
+    if space.order == 1:
         out[:] = mom0
         return out
     out[0: 2 * mesh.n_edges: 2] = mom0
@@ -207,12 +208,11 @@ def smooth_random_field(seed: int, n_modes: int = 4):
     return field
 
 
-def probe_field(mesh: TetMesh, order: int, seed: int) -> np.ndarray:
+def probe_field(space: EdgeSpace, seed: int) -> np.ndarray:
     """Interpolated fixed random smooth field, PEC-zeroed, H(curl)-normalized."""
-    _, _, constrained = _dof_layout(mesh, order)
-    u = interpolate(mesh, order, smooth_random_field(seed))
-    u[constrained] = 0.0
-    return u / discrete_hcurl_norm(mesh, order, u)
+    u = interpolate(space, smooth_random_field(seed))
+    u[space.constrained] = 0.0
+    return u / discrete_hcurl_norm(SolutionField(space, u))
 
 
 def consistency_error(mesh: TetMesh, order: int, coeffs: Coefficients, config: QuadratureConfig,
@@ -230,15 +230,15 @@ def consistency_probe(order: int, mesh_ns, coeffs: Coefficients, config: Quadrat
     Returns (rows, fit) where each row is (n, h, |Phi - Phi_h|, |F - F_h|) and
     the fit is the log-log slope of the sesquilinear gap against h.
     """
-    _check_rate_meshes(mesh_ns)
+    _check_mesh_ns(mesh_ns, rate=True)
     builder = builder or structured_cube_mesh
     rows = []
     for n in mesh_ns:
-        mesh = builder(n)
-        U = probe_field(mesh, order, seed + 11)
-        V = probe_field(mesh, order, seed + 23)
-        dphi, dload = consistency_error(mesh, order, coeffs, config, U, V)
-        rows.append((n, mesh.h, dphi, dload))
+        # the probe fields and both form evaluations share this one space
+        space = EdgeSpace.of(builder(n), order)
+        U, V = probe_field(space, seed + 11), probe_field(space, seed + 23)
+        dphi, dload = consistency_error(space.mesh, order, coeffs, config, U, V)
+        rows.append((n, space.mesh.h, dphi, dload))
     records = [ErrorRecord(n=n, h=h, dofs=1, l2_error=max(dphi, 1e-300), curl_error=0.0)
                for n, h, dphi, _ in rows]
     return rows, fit_rate(records, "h")

@@ -16,7 +16,8 @@ assemblies of the same inputs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "VectorField",
     "Coefficients",
     "QuadratureConfig",
+    "EdgeSpace",
     "SparseSystem",
     "SolutionField",
     "assemble",
@@ -117,24 +119,9 @@ def reference_config(degree: int = 10) -> QuadratureConfig:
     return QuadratureConfig(rule, rule, rule)
 
 
-# -- dof numbering -------------------------------------------------------------
+# -- the discrete space ---------------------------------------------------------
 
-def _dof_layout(mesh: TetMesh, order: int):
-    """Global dof count, per-element dof map and the PEC-constrained mask.
-
-    Order 1 has one dof per edge; order 2 has two per edge, then two per face.
-    """
-    ne = mesh.n_edges
-    on_boundary = np.zeros(ne + mesh.n_faces, dtype=bool)       # edges, then faces
-    on_boundary[mesh.boundary_edges] = True
-    on_boundary[ne + mesh.boundary_faces] = True
-    if order == 1:
-        return ne, mesh.tet2edge.copy(), on_boundary[:ne]
-    if order == 2:
-        entity = np.concatenate([mesh.tet2edge, ne + mesh.tet2face], axis=1)
-        gdof = (2 * entity[:, :, None] + np.arange(2)).reshape(mesh.n_tets, 20)
-        return 2 * len(on_boundary), gdof, np.repeat(on_boundary, 2)
-    raise ValueError("order must be 1 or 2")
+_SPACES = weakref.WeakValueDictionary()   # (id(mesh), order) -> a space some caller holds
 
 
 def _orientation_transforms(mesh: TetMesh, basis: CurlBasis) -> np.ndarray:
@@ -145,13 +132,63 @@ def _orientation_transforms(mesh: TetMesh, basis: CurlBasis) -> np.ndarray:
     return orientation_table(basis.order)[lehmer @ np.array([6, 2, 1, 0])]
 
 
-def _local_coefficients(mesh: TetMesh, order: int, *dof_vectors):
-    """For each full dof vector, its (nt, nd) coefficients in the elements' local bases."""
-    n_dofs, gdof, _ = _dof_layout(mesh, order)
-    if any(len(dofs) != n_dofs for dofs in dof_vectors):
-        raise ValueError(f"dof vectors must have the full length {n_dofs}")
-    X = _orientation_transforms(mesh, curl_basis(order))
-    return [(X @ np.asarray(dofs, dtype=complex)[gdof][:, :, None])[:, :, 0] for dofs in dof_vectors]
+@dataclass(frozen=True, eq=False)
+class EdgeSpace:
+    """The edge-element space of ``order`` on ``mesh``, compared by identity.
+
+    Order 1 has one dof per edge; order 2 has two per edge, then two per face.  The
+    dof map, PEC mask, orientation transforms and element Jacobians are each computed
+    once, when first read.
+    """
+
+    mesh: TetMesh
+    order: int
+    basis: CurlBasis = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", curl_basis(self.order))
+
+    @classmethod
+    def of(cls, mesh: TetMesh, order: int) -> "EdgeSpace":
+        """The space of (mesh, order) that some caller still holds, else a new one."""
+        return _SPACES.get((id(mesh), order)) or _SPACES.setdefault((id(mesh), order), cls(mesh, order))
+
+    @cached_property
+    def constrained(self) -> np.ndarray:
+        """The PEC mask: the global dofs on a boundary edge or boundary face."""
+        ne = self.mesh.n_edges
+        on_boundary = np.zeros(ne + self.mesh.n_faces, dtype=bool)       # edges, then faces
+        on_boundary[self.mesh.boundary_edges] = True
+        on_boundary[ne + self.mesh.boundary_faces] = True
+        return on_boundary[:ne] if self.order == 1 else np.repeat(on_boundary, 2)
+
+    @property
+    def n_dofs(self) -> int:
+        return len(self.constrained)
+
+    @cached_property
+    def gdof(self) -> np.ndarray:
+        """The global dof of every local dof, (nt, nd)."""
+        if self.order == 1:
+            return self.mesh.tet2edge
+        entity = np.concatenate([self.mesh.tet2edge, self.mesh.n_edges + self.mesh.tet2face], axis=1)
+        return (2 * entity[:, :, None] + np.arange(2)).reshape(self.mesh.n_tets, 20)
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        """The per-element dof transforms, (nt, nd, nd)."""
+        return _orientation_transforms(self.mesh, self.basis)
+
+    @cached_property
+    def affine(self):
+        """(J, origin, det, Jinv) of every element, as :func:`all_affine_data`."""
+        return all_affine_data(self.mesh)
+
+    def local(self, dofs) -> np.ndarray:
+        """The (nt, nd) coefficients of a full dof vector in the elements' local bases."""
+        if len(dofs) != self.n_dofs:
+            raise ValueError(f"dof vectors must have the full length {self.n_dofs}")
+        return (self.X @ np.asarray(dofs, dtype=complex)[self.gdof][:, :, None])[:, :, 0]
 
 
 @dataclass
@@ -165,17 +202,15 @@ class SparseSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    constrained: np.ndarray
     n_free: int
     full_matrix: sp.csr_matrix
     full_rhs: np.ndarray
-    mesh: TetMesh
-    order: int
+    space: EdgeSpace
     free_index: np.ndarray
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Insert the constrained zeros back into a reduced vector."""
-        full = np.zeros(len(self.constrained), dtype=complex)
+        full = np.zeros(self.space.n_dofs, dtype=complex)
         full[self.free_index] = reduced
         return full
 
@@ -184,21 +219,20 @@ class SparseSystem:
 class SolutionField:
     """Discrete field: full dof vector plus per-element evaluation."""
 
-    mesh: TetMesh
-    order: int
+    space: EdgeSpace
     dofs: np.ndarray              # full layout, constrained entries zero
 
     @cached_property
     def local(self) -> np.ndarray:
         """Local coefficients of the physical per-element expansion, (nt, nd)."""
-        return _local_coefficients(self.mesh, self.order, self.dofs)[0]
+        return self.space.local(self.dofs)
 
     def eval_elements(self, geo: QuadGeometry, tet_indices):
         """(values, curls) at the points of ``geo``, as (E, L, 3) arrays.
 
         ``geo`` maps its rule to the elements ``tet_indices`` (indices or a slice).
         """
-        w, basis = self.local[tet_indices], curl_basis(self.order)
+        w, basis = self.local[tet_indices], self.space.basis
         return _push(geo, "mass", basis, w), _push(geo, "curl", basis, w)
 
 
@@ -276,45 +310,32 @@ def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, sc
 
 def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: QuadratureConfig) -> SparseSystem:
     """Assemble the numeric forms into a PEC-constrained sparse system."""
-    basis = curl_basis(order)
-    n_dofs, gdof, constrained = _dof_layout(mesh, order)
-    jac, origin, det, inv = all_affine_data(mesh)
-    if np.any(det <= 0):
-        raise ValueError("mesh must be positively oriented")
-
-    A, M, f = (_term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff, scale)
+    space = EdgeSpace.of(mesh, order)
+    basis, gdof = space.basis, space.gdof
+    A, M, f = (_term_blocks(mesh, basis, rule, *space.affine, kind, coeff, scale)
                for kind, rule, coeff, scale in _terms(coeffs, config))
 
     # only the sum of the curl-curl and mass blocks is used; freeing them before the
     # scatter keeps them out of the peak memory of assembly
     A += M
     del M
-    X = _orientation_transforms(mesh, basis)
-    K = np.swapaxes(X, 1, 2) @ A @ X
+    K = np.swapaxes(space.X, 1, 2) @ A @ space.X
     del A
-    fo = (f[:, None] @ X)[:, 0]
+    fo = (f[:, None] @ space.X)[:, 0]
 
     nd = basis.n_dofs
     rows = np.repeat(gdof, nd, axis=1).ravel()
     cols = np.tile(gdof, (1, nd)).ravel()
-    full = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
-    full_rhs = np.zeros(n_dofs, dtype=complex)
+    full = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs)).tocsr()
+    del K, rows, cols
+    full_rhs = np.zeros(space.n_dofs, dtype=complex)
     np.add.at(full_rhs, gdof.ravel(), fo.ravel())
 
-    free = np.flatnonzero(~constrained)
+    free = np.flatnonzero(~space.constrained)
     reduced = full[free][:, free].tocsr()
     reduced.sum_duplicates()
-    return SparseSystem(
-        matrix=reduced,
-        rhs=full_rhs[free],
-        constrained=constrained,
-        n_free=len(free),
-        full_matrix=full,
-        full_rhs=full_rhs,
-        mesh=mesh,
-        order=order,
-        free_index=free,
-    )
+    return SparseSystem(matrix=reduced, rhs=full_rhs[free], n_free=len(free), full_matrix=full,
+                        full_rhs=full_rhs, space=space, free_index=free)
 
 
 def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: QuadratureConfig,
@@ -324,9 +345,8 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
     Returns (Phi(U, V), F(V)); sesquilinear in (U, conj V).  Passing
     :func:`reference_config` gives the high-degree 'exact' reference values.
     """
-    basis = curl_basis(order)
-    local = _local_coefficients(mesh, order, U_dofs, V_dofs)
-    affine = all_affine_data(mesh)
+    space = EdgeSpace.of(mesh, order)
+    local = [space.local(dofs) for dofs in (U_dofs, V_dofs)]
     terms = _terms(coeffs, config)
 
     phi = load = 0.0 + 0.0j
@@ -335,8 +355,8 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
         # per point: u and v pushed both ways (12), a matrix coefficient and the temporaries
         # of its evaluation (14), c u and w c u (6), the physical point and weight (2)
         for lo, hi in _chunks(mesh.n_tets, 32 * rule.npoints):
-            geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in affine))
-            fields = cache(lambda curl, i: _push(geo, "curl" if curl else "mass", basis, local[i][lo:hi]))
+            geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in space.affine))
+            fields = cache(lambda curl, i: _push(geo, "curl" if curl else "mass", space.basis, local[i][lo:hi]))
             for kind, _, coeff, scale in (t for t in terms if t[1] is rule):
                 curl = kind == "curl"
                 u = None if kind == "load" else fields(curl, 0)

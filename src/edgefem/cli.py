@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    _check_rate_meshes,
+    _check_mesh_ns,
     consistency_probe,
     curved_probe,
     curved_probe_degree,
@@ -92,8 +92,7 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_order(self.order)
         self.mesh_ns = self.mesh_ns or list(DEFAULT_MESH_NS[self.order])
-        if any(b <= a for a, b in zip(self.mesh_ns, self.mesh_ns[1:])):
-            raise ValueError("mesh_ns must be strictly increasing")
+        _check_mesh_ns(self.mesh_ns, rate=False)
         if self.fit_window != 0 and self.fit_window < 3:
             raise ValueError(f"fit_window must be 0 (all meshes) or at least 3, got {self.fit_window}")
         self.entry, self.rules = _resolve(self.problem, self.q1, self.q2, self.q3)
@@ -120,7 +119,7 @@ class ConsistencyProbe:
     def __post_init__(self):
         _check_order(self.order)
         _check_label(self.label)
-        _check_rate_meshes(self.mesh_ns)
+        _check_mesh_ns(self.mesh_ns, rate=True)
         degree = self.order + self.m - 1
         self.entry, self.rules = _resolve(self.problem, self.q1, degree if self.q2 is None else self.q2,
                                           degree if self.q3 is None else self.q3)
@@ -190,21 +189,17 @@ def load_config(command: str, path):
             raise ValueError(f"{key} must be {tp.__name__ if isinstance(tp, type) else tp}, got {data[key]!r}")
     config = cls(**data)
     if command == "convergence":
-        _check_rate_meshes(config.mesh_ns)
+        _check_mesh_ns(config.mesh_ns, rate=True)
     return config
 
 
 def resolve_rule(spec) -> RefQuadratureRule:
     """A rule from a label, a 'tensorized:n' string, or a required degree."""
-    if isinstance(spec, RefQuadratureRule):
-        return spec
     if isinstance(spec, int):
         return rule_for_degree(spec)
     if isinstance(spec, str):
         if spec.startswith("tensorized:"):
             return tensorized_gl(int(spec.split(":", 1)[1]))
-        if spec.startswith("degree:"):
-            return rule_for_degree(int(spec.split(":", 1)[1]))
         return builtin_rule(spec)
     raise TypeError(f"cannot interpret quadrature spec {spec!r}")
 

@@ -30,7 +30,6 @@ __all__ = [
     "rule_for_degree",
     "tensorized_gl",
     "conical_rule",
-    "integrate_ref",
     "verify_exactness",
     "dump_rule",
 ]
@@ -95,21 +94,6 @@ def monomials_of_degree(d: int):
     for a in range(d + 1):
         for b in range(d + 1 - a):
             yield (a, b, d - a - b)
-
-
-def integrate_ref(rule: RefQuadratureRule, f) -> complex:
-    """Apply ``rule`` to a scalar field on the reference tetrahedron.
-
-    ``f`` is called with an (L, 3) array of points and must return the L
-    values (point-wise callables are accepted as a fallback).
-    """
-    try:
-        vals = np.asarray(f(rule.points))
-        if vals.shape != (rule.npoints,):
-            raise TypeError
-    except TypeError:
-        vals = np.array([f(p) for p in rule.points])
-    return complex(np.dot(rule.weights, vals))
 
 
 def _quadrature_error(points, weights, abc):

@@ -33,7 +33,7 @@ class SolverBreakdown(RuntimeError):
 
 
 def _field_from(system: SparseSystem, reduced: np.ndarray) -> SolutionField:
-    return SolutionField(system.mesh, system.order, system.expand(reduced))
+    return SolutionField(system.space, system.expand(reduced))
 
 
 def solve(system: SparseSystem, tol: float = 1e-10, max_iter: Optional[int] = None

@@ -34,7 +34,7 @@ from edgefem.analysis import (
     fit_rate,
     probe_field,
 )
-from edgefem.assembly import QuadratureConfig, assemble, evaluate_forms
+from edgefem.assembly import EdgeSpace, QuadratureConfig, assemble, evaluate_forms
 from edgefem.cli import ExperimentConfig, load_config, run_convergence, run_preasymptotic
 from edgefem.mesh import structured_cube_mesh
 from edgefem.problems import catalog
@@ -244,8 +244,8 @@ def test_criterion6_consistency_probe():
     # exactness clause: constant coefficients with compliant rules
     prob = catalog("cube_poly")
     mesh = structured_cube_mesh(4)
-    U = probe_field(mesh, 1, seed=31)
-    V = probe_field(mesh, 1, seed=32)
+    space = EdgeSpace(mesh, 1)
+    U, V = probe_field(space, seed=31), probe_field(space, seed=32)
     cfg = QuadratureConfig(builtin_rule("pt1_offcenter"), builtin_rule("pt4"), builtin_rule("pt5"))
     dphi, _ = consistency_error(mesh, 1, prob.coefficients, cfg, U, V)
     ok &= dphi <= 1e-10
@@ -300,7 +300,7 @@ def test_criterion8_oracle_equivalence(rng):
         rel = np.linalg.norm(x_cg - x_dense) / np.linalg.norm(x_dense)
         ok &= rel <= 1e-8
 
-        nd = len(system.constrained)
+        nd = system.space.n_dofs
         U = rng.standard_normal(nd) + 1j * rng.standard_normal(nd)
         V = rng.standard_normal(nd) + 1j * rng.standard_normal(nd)
         phi, load = evaluate_forms(mesh, order, entry.coefficients, cfg, U, V)

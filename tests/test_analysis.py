@@ -18,7 +18,7 @@ from edgefem.analysis import (
     shrunk_quadratic_map,
     smooth_random_field,
 )
-from edgefem.assembly import Coefficients, MatrixField, QuadratureConfig, SolutionField
+from edgefem.assembly import Coefficients, EdgeSpace, MatrixField, QuadratureConfig, SolutionField
 from edgefem.mesh import structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule, rule_for_degree, tensorized_gl
@@ -71,8 +71,8 @@ def test_interpolant_of_constant_is_exact():
     prob = catalog("cube_poly")
     mesh = structured_cube_mesh(2)
     const = lambda pts: np.broadcast_to(np.array([1.0, -2.0, 0.5]), (len(pts), 3))
-    dofs = interpolate(mesh, 1, const)
-    sol = SolutionField(mesh, 1, dofs)
+    space = EdgeSpace(mesh, 1)
+    sol = SolutionField(space, interpolate(space, const))
     zero_curl = lambda pts: np.zeros((len(pts), 3))
     rec = hcurl_error(sol, (const, zero_curl), quad_degree=6)
     assert rec.l2_error <= 1e-12
@@ -101,8 +101,8 @@ def test_interpolant_of_in_space_linear_field_is_exact(order):
         def lin_curl(pts):
             return np.zeros((len(np.atleast_2d(pts)), 3))
 
-    dofs = interpolate(mesh, order, lin)
-    sol = SolutionField(mesh, order, dofs)
+    space = EdgeSpace(mesh, order)
+    sol = SolutionField(space, interpolate(space, lin))
     rec = hcurl_error(sol, (lin, lin_curl), quad_degree=2 * order + 4)
     assert rec.l2_error <= 1e-12
     assert rec.curl_error <= 1e-12
@@ -112,7 +112,7 @@ def test_zero_solution_error_closed_form():
     # ||E||^2 = 512/225 and ||curl E||^2 = 512/45 for the catalog field
     prob = catalog("cube_poly")
     mesh = structured_cube_mesh(2)
-    zero = SolutionField(mesh, 1, np.zeros(mesh.n_edges))
+    zero = SolutionField(EdgeSpace(mesh, 1), np.zeros(mesh.n_edges))
     rec = hcurl_error(zero, (prob.exact, prob.exact_curl), quad_degree=8, n=2, dofs=26)
     assert rec.l2_error ** 2 == pytest.approx(512.0 / 225.0, rel=1e-12)
     assert rec.curl_error ** 2 == pytest.approx(512.0 / 45.0, rel=1e-12)
@@ -130,7 +130,7 @@ def test_zero_solution_error_closed_form():
 def test_hcurl_error_determinism_and_degree_guard():
     prob = catalog("cube_poly")
     mesh = structured_cube_mesh(2)
-    zero = SolutionField(mesh, 1, np.zeros(mesh.n_edges))
+    zero = SolutionField(EdgeSpace(mesh, 1), np.zeros(mesh.n_edges))
     r1 = hcurl_error(zero, (prob.exact, prob.exact_curl), quad_degree=8)
     r2 = hcurl_error(zero, (prob.exact, prob.exact_curl), quad_degree=8)
     assert r1.l2_error == r2.l2_error and r1.curl_error == r2.curl_error
@@ -139,17 +139,17 @@ def test_hcurl_error_determinism_and_degree_guard():
 
 
 def test_discrete_hcurl_norm_scaling():
-    mesh = structured_cube_mesh(2)
-    u = probe_field(mesh, 1, seed=42)
-    assert discrete_hcurl_norm(mesh, 1, u) == pytest.approx(1.0, rel=1e-12)
-    assert discrete_hcurl_norm(mesh, 1, 2.0 * u) == pytest.approx(2.0, rel=1e-12)
+    space = EdgeSpace(structured_cube_mesh(2), 1)
+    u = probe_field(space, seed=42)
+    assert discrete_hcurl_norm(SolutionField(space, u)) == pytest.approx(1.0, rel=1e-12)
+    assert discrete_hcurl_norm(SolutionField(space, 2.0 * u)) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_consistency_error_exact_for_compliant_constant_coefficients():
     prob = catalog("cube_poly")
     mesh = structured_cube_mesh(2)
-    U = probe_field(mesh, 1, seed=7)
-    V = probe_field(mesh, 1, seed=8)
+    space = EdgeSpace(mesh, 1)
+    U, V = probe_field(space, seed=7), probe_field(space, seed=8)
     cfg = QuadratureConfig(OFF, PT4, PT5)
     dphi, _ = consistency_error(mesh, 1, prob.coefficients, cfg, U, V)
     assert dphi <= 1e-10
@@ -158,7 +158,7 @@ def test_consistency_error_exact_for_compliant_constant_coefficients():
 def test_consistency_error_zero_field():
     prob = catalog("cube_poly")
     mesh = structured_cube_mesh(2)
-    V = probe_field(mesh, 1, seed=9)
+    V = probe_field(EdgeSpace(mesh, 1), seed=9)
     zero = np.zeros(mesh.n_edges, dtype=complex)
     dphi, dload = consistency_error(mesh, 1, prob.coefficients,
                                     QuadratureConfig(OFF, OFF, OFF), zero, V)
@@ -176,8 +176,8 @@ def test_consistency_probe_decays_first_order():
 
 def test_probe_fields_are_deterministic():
     mesh = structured_cube_mesh(2)
-    u1 = probe_field(mesh, 1, seed=5)
-    u2 = probe_field(mesh, 1, seed=5)
+    u1 = probe_field(EdgeSpace(mesh, 1), seed=5)
+    u2 = probe_field(EdgeSpace(mesh, 1), seed=5)
     assert np.array_equal(u1, u2)
     f = smooth_random_field(5)
     pts = np.array([[0.1, 0.2, 0.3]])

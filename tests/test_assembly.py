@@ -1,14 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from edgefem import assembly
 from edgefem.assembly import (
     Coefficients,
+    EdgeSpace,
     MatrixField,
     QuadratureConfig,
     SolutionField,
     VectorField,
-    _dof_layout,
     _integrand,
     _orientation_transforms,
     _push,
@@ -106,8 +109,8 @@ def test_assemble_unit_cube_example():
     prob = catalog("cube_poly")
     system = assemble(structured_cube_mesh(1), 1, prob.coefficients,
                       QuadratureConfig(OFF, CEN, CEN))
-    assert len(system.constrained) == 19
-    assert system.constrained.sum() == 18
+    assert system.space.n_dofs == 19
+    assert system.space.constrained.sum() == 18
     assert system.matrix.shape == (1, 1)
     assert system.n_free == 1
 
@@ -256,18 +259,53 @@ def test_order2_dof_layout_and_pec():
     mesh = structured_cube_mesh(1)
     system = assemble(mesh, 2, prob.coefficients, QuadratureConfig(PT5, PT5, PT15))
     expected = 2 * mesh.n_edges + 2 * mesh.n_faces
-    assert len(system.constrained) == expected
+    assert system.space.n_dofs == expected
     # constrained: both moments of all boundary edges and boundary faces
     n_con = 2 * len(mesh.boundary_edges) + 2 * len(mesh.boundary_faces)
-    assert system.constrained.sum() == n_con
+    assert system.space.constrained.sum() == n_con
     loop_mask = np.zeros(expected, dtype=bool)
     for e in mesh.boundary_edges:
         loop_mask[2 * e] = loop_mask[2 * e + 1] = True
     for f in mesh.boundary_faces:
         loop_mask[2 * mesh.n_edges + 2 * f] = loop_mask[2 * mesh.n_edges + 2 * f + 1] = True
-    assert np.array_equal(system.constrained, loop_mask)
+    assert np.array_equal(system.space.constrained, loop_mask)
     dense = system.matrix.toarray()
     assert np.linalg.eigvalsh(dense).min() > 0.0
+
+
+def test_one_space_per_mesh_and_order(monkeypatch):
+    # assembly, the solve, the error and form evaluation on one (mesh, order) share one
+    # space, whose orientation transforms are computed once; another mesh or order has its own
+    orient, calls = assembly._orientation_transforms, []
+    monkeypatch.setattr(assembly, "_orientation_transforms", lambda *a: calls.append(a) or orient(*a))
+    entry = catalog("cube_poly")
+    config = QuadratureConfig(OFF, CEN, CEN)
+    mesh = structured_cube_mesh(2)
+    system = assemble(mesh, 1, entry.coefficients, config)
+    field, _ = solve(system)
+    assert system.space is field.space and system.space.mesh is mesh
+    hcurl_error(field, (entry.exact, entry.exact_curl), 8)
+    evaluate_forms(mesh, 1, entry.coefficients, config, field.dofs, field.dofs)
+    assert EdgeSpace.of(mesh, 1) is system.space
+    assert len(calls) == 1
+    assert EdgeSpace.of(TetMesh(mesh.vertices, mesh.tets), 1) is not system.space
+    assert EdgeSpace.of(mesh, 2) is not system.space
+
+
+def test_dropping_its_holders_frees_the_space_and_the_mesh():
+    # the spaces are looked up weakly and no mesh points back at its space, so with the
+    # cycle collector off, dropping the system, the field and the mesh frees both
+    gc.disable()
+    try:
+        mesh = structured_cube_mesh(2)
+        system = assemble(mesh, 1, catalog("cube_poly").coefficients, QuadratureConfig(OFF, CEN, CEN))
+        field, _ = solve(system)
+        assert field.local.shape == (mesh.n_tets, 6)
+        refs = weakref.ref(system.space), weakref.ref(mesh)
+        del system, field, mesh
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_solution_field_eval_consistency():
@@ -280,7 +318,7 @@ def test_solution_field_eval_consistency():
     tets = [3, 11]
     vals_vec, curls_vec = field.eval_elements(tet_geometry(mesh, tets, PT15), tets)
     X = _orientation_transforms(mesh, basis)
-    _, gdof, _ = _dof_layout(mesh, 1)
+    gdof = EdgeSpace(mesh, 1).gdof
     for row, tet in enumerate(tets):
         corners = mesh.vertices[mesh.tets[tet]]
         jac = (corners[1:] - corners[0]).T
@@ -328,7 +366,7 @@ def test_scalar_coefficients_match_dense_diagonal(rng, order):
     dense = Coefficients(mu_inv=_diagonal(mu_inv), eps=_diagonal(eps), omega=1.3, current=probe_vector_field)
     assert scalar.eps(mesh.vertices).shape == (mesh.n_vertices,)
     config = QuadratureConfig(PT4, PT5, PT15)
-    n_dofs = _dof_layout(mesh, order)[0]
+    n_dofs = EdgeSpace(mesh, order).n_dofs
     U, V = rng.standard_normal((2, n_dofs)) + 1j * rng.standard_normal((2, n_dofs))
 
     def outputs(coeffs):
@@ -365,7 +403,8 @@ def test_curved_integrand_matches_straight_forms_on_affine_map(rng, order):
     config = QuadratureConfig(PT4, PT5, PT15)
     basis = curl_basis(order)
     u, v = rng.standard_normal((2, basis.n_dofs)) + 1j * rng.standard_normal((2, basis.n_dofs))
-    n_dofs, gdof, _ = _dof_layout(mesh, order)
+    space = EdgeSpace(mesh, order)
+    n_dofs, gdof = space.n_dofs, space.gdof
     U, V = np.zeros(n_dofs, dtype=complex), np.zeros(n_dofs, dtype=complex)
     U[gdof[0]], V[gdof[0]] = u, v
     phi, load = evaluate_forms(mesh, order, coeffs, config, U, V)
@@ -387,12 +426,13 @@ def test_one_element_chunks_match_default_chunking(rng, monkeypatch, order):
     base = structured_cube_mesh(2)
     mesh = TetMesh(base.vertices + rng.uniform(-0.1, 0.1, base.vertices.shape), base.tets)
     config = QuadratureConfig(PT4, PT5, PT15)
-    n_dofs = assembly._dof_layout(mesh, order)[0]
+    space = EdgeSpace(mesh, order)
+    n_dofs = space.n_dofs
     U, V = rng.standard_normal((2, n_dofs)) + 1j * rng.standard_normal((2, n_dofs))
 
     def outputs():
         system = assemble(mesh, order, entry.coefficients, config)
-        error = hcurl_error(SolutionField(mesh, order, U), (entry.exact, entry.exact_curl), 2 * order + 4)
+        error = hcurl_error(SolutionField(space, U), (entry.exact, entry.exact_curl), 2 * order + 4)
         return ([system.full_matrix.toarray(), system.full_rhs]
                 + [np.array(evaluate_forms(mesh, order, entry.coefficients, c, U, V)) for c in (config, reference_config())]
                 + [np.array([error.l2_error, error.curl_error])])

@@ -45,9 +45,12 @@ def test_resolve_rule_specs():
     assert resolve_rule("pt5").label == "pt5"
     assert resolve_rule(3).label == "pt5"
     assert resolve_rule("tensorized:2").label == "tensor_gl2"
-    assert resolve_rule("degree:5").label == "pt15"
+    with pytest.raises(KeyError):
+        resolve_rule("degree:5")          # a degree is written as the plain integer
     with pytest.raises(TypeError):
         resolve_rule(3.5)
+    with pytest.raises(TypeError):
+        resolve_rule(builtin_rule("pt5"))
 
 
 @pytest.mark.parametrize("problem", ["cube_poly", "cube_oscillatory(10)", "cube_oscillatory(20)"])
@@ -234,9 +237,10 @@ def test_rate_studies_reject_two_meshes_up_front(tmp_path, capsys):
     assert not list(tmp_path.glob("*.dat"))
 
     config = QuadratureConfig(*(builtin_rule("pt1_centroid"),) * 3)
-    with pytest.raises(ValueError, match="mesh_ns"):
-        consistency_probe(1, [2, 4], catalog("cube_poly").coefficients, config,
-                          builder=lambda n: pytest.fail("a level was computed"))
+    for mesh_ns in ([2, 4], [2, 4, 0], [2, 2, 2]):
+        with pytest.raises(ValueError, match="mesh_ns"):
+            consistency_probe(1, mesh_ns, catalog("cube_poly").coefficients, config,
+                              builder=lambda n: pytest.fail("a level was computed"))
 
     # no rate is fitted in a preasymptotic run, so two meshes are enough
     path.write_text(json.dumps({"problem": "cube_poly", "mesh_ns": [1, 2]}))
@@ -277,10 +281,17 @@ def test_convergence_fit_window_checked_at_load(tmp_path, capsys, monkeypatch):
     ("convergence", {"problem": "cube_poly", "mesh_ns": [1, 2, 3], "label": "a/b"}, "label"),
     ("probe", {"kind": "consistency", "mesh_ns": [1, 2, 3], "label": ""}, "label"),
     ("probe", {"kind": "curved", "label": "x/y"}, "label"),
+    ("probe", {"kind": "consistency", "mesh_ns": [2, 4, 0]}, "mesh_ns must be strictly increasing"),
+    ("probe", {"kind": "consistency", "mesh_ns": [2, 2, 2]}, "mesh_ns must be strictly increasing"),
+    ("convergence", {"problem": "cube_poly", "mesh_ns": [0, 2, 4]}, "mesh_ns must be strictly increasing"),
+    ("preasymptotic", {"problem": "cube_poly", "mesh_ns": [0, 2, 4]}, "mesh_ns must be strictly increasing"),
+    ("convergence", {"problem": "cube_poly", "q1": "degree:5"}, "unknown q1 rule 'degree:5'"),
 ], ids=["convergence-rule", "convergence-problem", "consistency-rule", "consistency-problem",
         "consistency-order", "curved-mode", "curved-degree-below-zero", "fit_window-string",
         "consistency-m-string", "mesh_ns-element-string", "curved-below-string", "curved-order-bool",
-        "convergence-label-path", "consistency-label-empty", "curved-label-path"])
+        "convergence-label-path", "consistency-label-empty", "curved-label-path",
+        "consistency-mesh_ns-zero", "consistency-mesh_ns-repeated", "convergence-mesh_ns-zero",
+        "preasymptotic-mesh_ns-zero", "convergence-degree-spelling"])
 def test_main_rejects_bad_values_at_load(tmp_path, capsys, command, config, named):
     # exit 1 with a message naming the value, not a traceback after some levels
     path = tmp_path / "c.json"

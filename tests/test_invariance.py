@@ -41,8 +41,8 @@ def measures(mesh, order):
     system = assemble(mesh, order, entry.coefficients, RULES[order])
     field = solve_dense(system)
     rec = hcurl_error(field, (entry.exact, entry.exact_curl), 2 * order + 6)
-    U = probe_field(mesh, order, 11)
-    V = probe_field(mesh, order, 23)
+    U = probe_field(system.space, 11)
+    V = probe_field(system.space, 23)
     gaps = consistency_error(mesh, order, entry.coefficients, RULES[order], U, V)
     eigs = np.linalg.eigvalsh(system.matrix.toarray()) if order == 1 else None
     return np.array([rec.l2_error, rec.curl_error, *gaps]), eigs

@@ -11,7 +11,6 @@ from edgefem.quadrature import (
     conical_rule,
     dump_rule,
     exact_monomial_integral,
-    integrate_ref,
     monomials_of_degree,
     rule_for_degree,
     tensorized_gl,
@@ -109,22 +108,6 @@ def test_conical_rule_reaches_classical_degree():
         assert abs(rule.weights.sum() - 1.0 / 6.0) <= 1e-14
 
 
-def test_integrate_ref_examples():
-    for label in BUILTIN_LABELS:
-        val = integrate_ref(builtin_rule(label), lambda p: np.ones(len(p)))
-        assert val == pytest.approx(1.0 / 6.0, abs=1e-15)
-    cen = builtin_rule("pt1_centroid")
-    assert integrate_ref(cen, lambda p: p[:, 0]) == pytest.approx(1.0 / 24.0, abs=1e-16)
-    # degree-1 limit: x^2 integrates to 1/96 instead of the exact 1/60
-    assert integrate_ref(cen, lambda p: p[:, 0] ** 2) == pytest.approx(1.0 / 96.0, abs=1e-16)
-    assert exact_monomial_integral(2, 0, 0) == pytest.approx(1.0 / 60.0)
-
-
-def test_integrate_ref_pointwise_callable():
-    val = integrate_ref(builtin_rule("pt4"), lambda p: float(p[0] + p[1]))
-    assert val == pytest.approx(2.0 / 24.0, abs=1e-15)
-
-
 def test_verify_exactness_report():
     cen = builtin_rule("pt1_centroid")
     assert verify_exactness(cen, 1).ok
@@ -138,6 +121,7 @@ def test_verify_exactness_report():
 
 def test_monomial_oracle_against_reference_tet():
     # the library's closed form and the barycentric-expansion oracle agree
+    assert exact_monomial_integral(2, 0, 0) == pytest.approx(1.0 / 60.0)
     for abc in monomials_of_degree(4):
         assert exact_monomial_integral(*abc) == pytest.approx(
             simplex_monomial_integral(REF_VERTICES, abc), rel=1e-13)

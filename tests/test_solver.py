@@ -21,14 +21,14 @@ def cube_system(n=1, order=1, problem="cube_poly"):
 
 
 def synthetic_system(A, b):
-    """A 1-element mesh system with matrix/rhs replaced by synthetic data."""
-    base = cube_system(1)
+    """A cube-mesh system with matrix/rhs replaced by synthetic data on its first n dofs."""
+    base = cube_system(2)
     n = A.shape[0]
+    assert n <= base.space.n_dofs
     return dataclasses.replace(
         base,
         matrix=sp.csr_matrix(A),
         rhs=np.asarray(b, dtype=complex),
-        constrained=np.zeros(n, dtype=bool),
         n_free=n,
         free_index=np.arange(n),
     )
@@ -49,7 +49,7 @@ def test_cube_single_dof_matches_dense_exactly():
     f_dense = solve_dense(system)
     assert np.abs(f_cg.dofs - f_dense.dofs).max() == 0.0
     # constrained entries re-inserted as zeros
-    assert np.abs(f_cg.dofs[system.constrained]).max() == 0.0
+    assert np.abs(f_cg.dofs[system.space.constrained]).max() == 0.0
 
 
 def test_diagonal_spd_converges_in_one_preconditioned_step(rng):
