@@ -157,20 +157,19 @@ def interpolate(space: EdgeSpace, field) -> np.ndarray:
     """Tangential-moment interpolant of a smooth vector field, full dof layout.
 
     Evaluates the same edge/face functionals that define the global dofs, so
-    a field already in the discrete space is reproduced exactly.
+    a field already in the discrete space is reproduced exactly, in the dtype of its values.
     """
     mesh = space.mesh
-    out = np.zeros(space.n_dofs, dtype=complex)
 
     s, w = _gl01(8)
     a = mesh.vertices[mesh.edges[:, 0]]
     d = mesh.vertices[mesh.edges[:, 1]] - a
     pts = a[:, None, :] + s[None, :, None] * d[:, None, :]
-    vals = np.asarray(field(pts.reshape(-1, 3)), dtype=complex).reshape(len(a), len(s), 3)
+    vals = np.asarray(field(pts.reshape(-1, 3))).reshape(len(a), len(s), 3)
     mom0 = np.einsum("l,elc,ec->e", w, vals, d)
     if space.order == 1:
-        out[:] = mom0
-        return out
+        return mom0
+    out = np.zeros(space.n_dofs, dtype=mom0.dtype)
     out[0: 2 * mesh.n_edges: 2] = mom0
     out[1: 2 * mesh.n_edges: 2] = np.einsum("l,elc,ec->e", w * (2.0 * s - 1.0), vals, d)
 
@@ -184,7 +183,7 @@ def interpolate(space: EdgeSpace, field) -> np.ndarray:
     d1 = mesh.vertices[mesh.faces[:, 1]] - fa
     d2 = mesh.vertices[mesh.faces[:, 2]] - fa
     fpts = fa[:, None, :] + st[None, :, :1] * d1[:, None, :] + st[None, :, 1:] * d2[:, None, :]
-    fvals = np.asarray(field(fpts.reshape(-1, 3)), dtype=complex).reshape(len(fa), len(tw), 3)
+    fvals = np.asarray(field(fpts.reshape(-1, 3))).reshape(len(fa), len(tw), 3)
     base = 2 * mesh.n_edges
     out[base::2] = np.einsum("l,elc,ec->e", tw, fvals, d1)
     out[base + 1::2] = np.einsum("l,elc,ec->e", tw, fvals, d2)

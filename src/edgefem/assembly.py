@@ -7,9 +7,10 @@ Three independent reference rules drive the three terms:
     q3 :  load           sum_K Q3_K( -i omega J . conj v )
 
 Coefficients are evaluated at the physical quadrature points (no coefficient
-interpolation).  Assembly is complex throughout, scatters element blocks with
-the per-element orientation transform applied, and then eliminates every DOF
-sitting on a boundary edge or boundary face (PEC: vanishing tangential trace).
+interpolation).  Arrays keep the dtype of their data, so real coefficients give a
+float64 matrix, and a load vector whose imaginary parts are all exactly 0 is stored
+as float64.  Assembly scatters element blocks with the orientation transform applied,
+then eliminates every DOF on a boundary edge or face (PEC: vanishing tangential trace).
 Element blocks are accumulated in a fixed element order, so repeated
 assemblies of the same inputs are bit-identical.
 """
@@ -40,17 +41,17 @@ __all__ = [
     "reference_config",
 ]
 
-_CHUNK_BUDGET = 1_500_000   # complex values of scratch held by one chunk of a per-element kernel
+_CHUNK_BUDGET = 1_500_000   # values (real or complex) of scratch held by one chunk of a per-element kernel
 
 
 class _Field:
-    """A (possibly constant) field of complex values per point, each of one of the shapes
-    ``shapes``; a matrix field of scalars means those multiples of I."""
+    """A (possibly constant) field of values per point, real or complex as given, each of one of
+    the shapes ``shapes``; a matrix field of scalars means those multiples of I."""
 
     def __init__(self, value):
         self.constant, self._fn = None, value
         if not callable(value):
-            val = np.asarray(value, dtype=complex)
+            val = np.asarray(value)
             if () in self.shapes and val.shape == (3, 3) and np.array_equal(val, val[0, 0] * np.eye(3)):
                 val = val[0, 0]
             if val.shape not in self.shapes:
@@ -62,7 +63,7 @@ class _Field:
         pts = np.atleast_2d(pts)
         if self.constant is not None:
             return np.broadcast_to(self.constant, (len(pts),) + self.constant.shape)
-        out = np.asarray(self._fn(pts), dtype=complex)
+        out = np.asarray(self._fn(pts))
         if out.shape[:1] != (len(pts),) or out.shape[1:] not in self.shapes:
             expected = " or ".join(str((len(pts),) + shape) for shape in self.shapes)
             raise ValueError(f"{type(self).__name__} must return {expected}, got {out.shape}")
@@ -70,14 +71,14 @@ class _Field:
 
 
 class MatrixField(_Field):
-    """A field of complex symmetric 3x3 matrices; a scalar, a scalar per point or an exact
+    """A field of symmetric 3x3 matrices; a scalar, a scalar per point or an exact
     multiple of I is held as a scalar field, that multiple of I."""
 
     shapes = ((3, 3), ())
 
 
 class VectorField(_Field):
-    """A field of complex 3-vectors."""
+    """A field of 3-vectors."""
 
     shapes = ((3,),)
 
@@ -188,12 +189,12 @@ class EdgeSpace:
         """The (nt, nd) coefficients of a full dof vector in the elements' local bases."""
         if len(dofs) != self.n_dofs:
             raise ValueError(f"dof vectors must have the full length {self.n_dofs}")
-        return (self.X @ np.asarray(dofs, dtype=complex)[self.gdof][:, :, None])[:, :, 0]
+        return (self.X @ np.asarray(dofs)[self.gdof][:, :, None])[:, :, 0]
 
 
 @dataclass
 class SparseSystem:
-    """Assembled complex system after PEC elimination.
+    """Assembled system after PEC elimination.
 
     ``matrix``/``rhs`` are the reduced (free-dof) objects; ``full_matrix`` and
     ``full_rhs`` keep the unconstrained scatter for cross-checks and form
@@ -210,7 +211,7 @@ class SparseSystem:
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Insert the constrained zeros back into a reduced vector."""
-        full = np.zeros(self.space.n_dofs, dtype=complex)
+        full = np.zeros(self.space.n_dofs, dtype=reduced.dtype)
         full[self.free_index] = reduced
         return full
 
@@ -257,9 +258,9 @@ def _push(geo: QuadGeometry, kind: str, basis: CurlBasis, local=None):
     return push((local @ table).reshape(-1, npts, 3))
 
 
-def _real_times_complex(a, b):
-    """a @ b for real a and complex b, as one real product on b's interleaved real and imaginary parts."""
-    return (a @ np.ascontiguousarray(b).view(float)).view(complex)
+def _real_times(a, b):
+    """a @ b for real a; a complex b as one real product on its interleaved real and imaginary parts."""
+    return a @ b if not np.iscomplexobj(b) else (a @ np.ascontiguousarray(b).view(float)).view(complex)
 
 
 def _coefficient_times(c, u):
@@ -286,11 +287,11 @@ def _chunks(n_items, per_item_cost):
 
 
 def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, scale):
-    """Element blocks of one form term for all elements, times ``scale``;
-    orientation not applied.  kind is 'curl', 'mass' or 'load'.
+    """Element blocks of one form term for all elements, times ``scale``, in the dtype
+    the coefficient and scale give; orientation not applied.  kind is 'curl', 'mass' or 'load'.
     """
     nt, nd, npts = mesh.n_tets, basis.n_dofs, rule.npoints
-    out = np.zeros((nt, nd) if kind == "load" else (nt, nd, nd), dtype=complex)
+    out = None
     # per element and pushed table entry: the table and its transpose (half each, being real),
     # c u with the temporaries that form it, and its transpose
     for lo, hi in _chunks(nt, 5 * npts * nd * 3):
@@ -301,10 +302,12 @@ def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, sc
         coeff = w * c.reshape(phys.shape[:2] + c.shape[1:])
         rows = phys.transpose(0, 2, 1, 3).reshape(hi - lo, nd, 3 * npts)
         if kind == "load":
-            out[lo:hi] = _real_times_complex(rows, coeff.reshape(hi - lo, 3 * npts, 1))[:, :, 0]
+            block = _real_times(rows, coeff.reshape(hi - lo, 3 * npts, 1))[:, :, 0]
         else:
             cu = _coefficient_times(coeff[:, :, None], phys)            # (E, L, nd, 3)
-            out[lo:hi] = _real_times_complex(rows, cu.transpose(0, 1, 3, 2).reshape(hi - lo, 3 * npts, nd))
+            block = _real_times(rows, cu.transpose(0, 1, 3, 2).reshape(hi - lo, 3 * npts, nd))
+        out = np.empty((nt,) + block.shape[1:], block.dtype) if out is None else out
+        out[lo:hi] = block
     return out
 
 
@@ -315,8 +318,9 @@ def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quadrature
     A, M, f = (_term_blocks(mesh, basis, rule, *space.affine, kind, coeff, scale)
                for kind, rule, coeff, scale in _terms(coeffs, config))
 
-    # only the sum of the curl-curl and mass blocks is used; freeing them before the
-    # scatter keeps them out of the peak memory of assembly
+    # only the sum of the curl-curl and mass blocks is used; summing into the block of the
+    # wider dtype and freeing both before the scatter keeps them out of the peak memory of assembly
+    A, M = (M, A) if np.iscomplexobj(M) else (A, M)
     A += M
     del M
     K = np.swapaxes(space.X, 1, 2) @ A @ space.X
@@ -328,8 +332,10 @@ def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quadrature
     cols = np.tile(gdof, (1, nd)).ravel()
     full = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs)).tocsr()
     del K, rows, cols
-    full_rhs = np.zeros(space.n_dofs, dtype=complex)
+    full_rhs = np.zeros(space.n_dofs, dtype=fo.dtype)
     np.add.at(full_rhs, gdof.ravel(), fo.ravel())
+    if not full_rhs.imag.any():       # -i omega J is real: keep the load vector in float64
+        full_rhs = full_rhs.real.copy()
 
     free = np.flatnonzero(~space.constrained)
     reduced = full[free][:, free].tocsr()

@@ -39,7 +39,7 @@ from .quadrature import (
     tensorized_gl,
     verify_exactness,
 )
-from .solver import solve
+from .solver import SolverBreakdown, solve
 
 __all__ = ["ExperimentConfig", "ConsistencyProbe", "CurvedProbe", "load_config",
            "run_convergence", "run_preasymptotic", "run_quadcheck", "main"]
@@ -217,18 +217,21 @@ def _emit_records(records, config, out_dir, extra_lines):
 
 
 def _sweep(config: ExperimentConfig, out_dir):
-    """Mesh sweep: assemble, solve and measure the H(curl) error on every mesh."""
+    """Mesh sweep: assemble, solve and measure the H(curl) error on every mesh; a mesh whose system
+    CG cannot solve ends it with a RuntimeError, after the records so far are written."""
     entry, rules = config.entry, config.rules
     records = []
     for n in config.mesh_ns:
         mesh = structured_cube_mesh(n)
         system = assemble(mesh, config.order, entry.coefficients, rules)
-        fld, report = solve(system)
-        if fld is None:
-            _emit_records(records, config, out_dir,
-                          [f"ABORTED: solver did not converge at n={n} "
-                           f"(residual {report.relative_residual:.3e})"])
-            raise RuntimeError(f"solver did not converge at n={n}")
+        try:
+            fld, report = solve(system)
+            why = None if fld is not None else f"did not converge at n={n} (residual {report.relative_residual:.3e})"
+        except SolverBreakdown as exc:
+            why = f"broke down at n={n} (iteration {exc.iteration}, curvature {exc.curvature:.3e})"
+        if why:
+            _emit_records(records, config, out_dir, [f"ABORTED: solver {why}"])
+            raise RuntimeError(f"solver {why}")
         records.append(hcurl_error(fld, (entry.exact, entry.exact_curl), 2 * config.order + 6,
                                    n=n, dofs=system.n_free, iterations=report.iterations))
     return records, [f"problem {config.problem} order {config.order}",
@@ -375,17 +378,21 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 1
 
-    if args.command == "preasymptotic":
-        _, exit_idx = run_preasymptotic(config, args.out)
-        print(f"plateau exit index: {exit_idx}")
-        return 0
     if args.command == "probe":
         _, fit = config.run(args.out)
         failed = config.expect_min_slope is not None and fit.slope < config.expect_min_slope
-    else:
+        return 2 if args.check and failed else 0
+    try:
+        if args.command == "preasymptotic":
+            _, exit_idx = run_preasymptotic(config, args.out)
+            print(f"plateau exit index: {exit_idx}")
+            return 0
         _, fit = run_convergence(config, args.out)
-        print(f"slope vs dofs: {fit.slope:.6f}")
-        failed = config.expect_slope is not None and abs(fit.slope - config.expect_slope) > config.slope_tol
+    except RuntimeError as exc:       # a sweep aborted by the solver; its records so far are written
+        print(f"ABORTED: {exc}", file=sys.stderr)
+        return 1
+    print(f"slope vs dofs: {fit.slope:.6f}")
+    failed = config.expect_slope is not None and abs(fit.slope - config.expect_slope) > config.slope_tol
     return 2 if args.check and failed else 0
 
 

@@ -34,7 +34,7 @@ OMEGA = 1.0
 class ProblemCatalogEntry:
     name: str
     coefficients: Coefficients
-    exact: Callable          # (N, 3) -> (N, 3) complex
+    exact: Callable          # (N, 3) -> (N, 3) float64
     exact_curl: Callable
     curl_mu_inv_curl: Callable
     eps0: Callable           # scalar profile eps0(x3)
@@ -42,14 +42,14 @@ class ProblemCatalogEntry:
 
 def _exact(pts):
     pts = np.atleast_2d(pts)
-    out = np.zeros((len(pts), 3), dtype=complex)
+    out = np.zeros((len(pts), 3))
     out[:, 0] = (pts[:, 1] ** 2 - 1.0) * (pts[:, 2] ** 2 - 1.0)
     return out
 
 
 def _exact_curl(pts):
     pts = np.atleast_2d(pts)
-    out = np.zeros((len(pts), 3), dtype=complex)
+    out = np.zeros((len(pts), 3))
     out[:, 1] = 2.0 * pts[:, 2] * (pts[:, 1] ** 2 - 1.0)
     out[:, 2] = -2.0 * pts[:, 1] * (pts[:, 2] ** 2 - 1.0)
     return out
@@ -57,7 +57,7 @@ def _exact_curl(pts):
 
 def _curl_mu_inv_curl(pts):
     pts = np.atleast_2d(pts)
-    out = np.zeros((len(pts), 3), dtype=complex)
+    out = np.zeros((len(pts), 3))
     out[:, 0] = (4.0 - 2.0 * pts[:, 1] ** 2 - 2.0 * pts[:, 2] ** 2) / MU0
     return out
 

@@ -1,6 +1,6 @@
-"""Solvers for the assembled complex systems.
+"""Solvers for the assembled systems, in the dtype of their matrix and right-hand side.
 
-The catalog problems are Hermitian positive definite, so the workhorse is a
+The catalog problems are real symmetric positive definite, so the workhorse is a
 Jacobi-preconditioned conjugate gradient.  Indefinite input is detected via
 negative curvature and reported as an error rather than silently mis-solved;
 a pivoted dense factorization doubles as the test oracle at small sizes.
@@ -26,10 +26,15 @@ class SolveReport:
     relative_residual: float
     converged: bool
     method: str
+    residual_history: Tuple[float, ...] = ()      # |r| / |b| of the recursive residual, per iteration
 
 
 class SolverBreakdown(RuntimeError):
-    """Raised when CG meets non-positive curvature (matrix not HPD)."""
+    """CG met a non-HPD matrix: ``curvature`` is p^H A p at ``iteration``, or the least diagonal entry at 0."""
+
+    def __init__(self, message: str, iteration: int, curvature: float):
+        super().__init__(f"{message} at iteration {iteration} (curvature {curvature:.3e}) -- use solve_dense")
+        self.iteration, self.curvature = iteration, curvature
 
 
 def _field_from(system: SparseSystem, reduced: np.ndarray) -> SolutionField:
@@ -45,39 +50,36 @@ def solve(system: SparseSystem, tol: float = 1e-10, max_iter: Optional[int] = No
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must be in (0, 1)")
-    A = system.matrix
-    b = system.rhs
-    n = system.n_free
-    if max_iter is None:
-        max_iter = 20 * n + 200
+    A, b, n = system.matrix, system.rhs, system.n_free
+    max_iter = 20 * n + 200 if max_iter is None else max_iter
+    dtype = np.result_type(A.dtype, b.dtype)
 
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return _field_from(system, np.zeros(n, dtype=complex)), SolveReport(0, 0.0, True, "pcg-jacobi")
+        return _field_from(system, np.zeros(n, dtype=dtype)), SolveReport(0, 0.0, True, "pcg-jacobi")
 
     diag = A.diagonal()
     if np.abs(diag.imag).max(initial=0.0) > 1e-12 * max(1.0, np.abs(diag.real).max(initial=0.0)) \
             or np.any(diag.real <= 0.0):
-        raise SolverBreakdown("matrix diagonal is not real positive; not HPD -- use solve_dense")
+        raise SolverBreakdown("matrix diagonal is not real positive; not HPD", 0, float(diag.real.min()))
     minv = 1.0 / diag.real
 
-    x = np.zeros(n, dtype=complex)
-    r = b.copy()
+    x = np.zeros(n, dtype=dtype)
+    r = b.astype(dtype)
     z = minv * r
     p = z.copy()
     rz = np.vdot(r, z)
-    iterations = 0
-    converged = False
+    history = []
     for iterations in range(1, max_iter + 1):
         q = A @ p
         curvature = np.vdot(p, q)
         if curvature.real <= 0.0 or abs(curvature.imag) > 1e-8 * abs(curvature.real):
-            raise SolverBreakdown("negative curvature encountered; matrix is not HPD -- use solve_dense")
+            raise SolverBreakdown("curvature is not real positive; matrix is not HPD", iterations, float(curvature.real))
         alpha = rz / curvature
         x += alpha * p
         r -= alpha * q
-        if np.linalg.norm(r) <= tol * bnorm:
-            converged = True
+        history.append(float(np.linalg.norm(r) / bnorm))
+        if history[-1] <= tol:
             break
         z = minv * r
         rz_new = np.vdot(r, z)
@@ -85,7 +87,8 @@ def solve(system: SparseSystem, tol: float = 1e-10, max_iter: Optional[int] = No
         rz = rz_new
 
     true_rel = float(np.linalg.norm(b - A @ x) / bnorm)
-    report = SolveReport(iterations, true_rel, converged and true_rel <= tol, "pcg-jacobi")
+    converged = bool(history) and history[-1] <= tol and true_rel <= tol
+    report = SolveReport(len(history), true_rel, converged, "pcg-jacobi", tuple(history))
     if not report.converged:
         return None, report
     return _field_from(system, x), report

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -21,7 +22,7 @@ from edgefem.assembly import (
     evaluate_forms,
     reference_config,
 )
-from edgefem.analysis import hcurl_error, probe_matrix_field, probe_vector_field
+from edgefem.analysis import hcurl_error, interpolate, probe_matrix_field, probe_vector_field, smooth_random_field
 from edgefem.mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data, structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule, tensorized_gl
@@ -441,3 +442,37 @@ def test_one_element_chunks_match_default_chunking(rng, monkeypatch, order):
     monkeypatch.setattr(assembly, "_CHUNK_BUDGET", 1)
     for chunked, whole in zip(outputs(), default):
         assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("problem", ["cube_poly", "cube_oscillatory(10)"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_catalog_systems_assemble_in_float64(problem, order):
+    # real coefficients and a real -i omega J: the matrix and load vector are float64
+    system = assemble(structured_cube_mesh(2), order, catalog(problem).coefficients,
+                      QuadratureConfig(PT5, PT5, PT15))
+    assert system.matrix.dtype == system.full_matrix.dtype == np.float64
+    assert system.rhs.dtype == system.full_rhs.dtype == np.float64
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_lossy_permittivity_adds_an_imaginary_part_to_the_lossless_matrix(order):
+    entry = catalog("cube_oscillatory(10)")
+    lossy = dataclasses.replace(entry.coefficients, eps=lambda pts: entry.eps0(pts[:, 2]) + 0.5j)
+    mesh, config = structured_cube_mesh(2), QuadratureConfig(PT5, PT5, PT15)
+    real = assemble(mesh, order, entry.coefficients, config).matrix.toarray()
+    complex_ = assemble(mesh, order, lossy, config).matrix
+    assert complex_.dtype == np.complex128
+    dense = complex_.toarray()
+    assert np.abs(dense.real - real).max() <= 1e-14 * np.abs(real).max()
+    assert np.abs(dense.imag).max() > 0.0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_interpolate_keeps_the_dtype_of_the_field(order):
+    space = EdgeSpace(structured_cube_mesh(2), order)
+    field = smooth_random_field(3)
+    real = interpolate(space, field)
+    assert real.dtype == np.float64
+    rotated = interpolate(space, lambda pts: np.exp(0.7j) * field(pts))
+    assert rotated.dtype == np.complex128
+    assert np.abs(rotated - np.exp(0.7j) * real).max() <= 1e-14 * np.abs(real).max()

@@ -21,6 +21,7 @@ from edgefem.cli import (
 )
 from edgefem.problems import catalog, residual_check
 from edgefem.quadrature import builtin_rule, dump_rule, rule_for_degree
+from edgefem.solver import solve
 
 from conftest import fd_curl
 
@@ -332,3 +333,40 @@ def test_shipped_configs_parse():
         expected = {"consistency": ConsistencyProbe, "curved": CurvedProbe}.get(
             json.loads(path.read_text()).get("kind"), ExperimentConfig)
         assert type(cfg) is expected, path.name
+
+
+BREAKDOWN = {"problem": "cube_poly", "order": 2, "mesh_ns": [2, 3, 4],
+             "q1": "pt1_centroid", "q2": "pt5", "q3": "pt15", "label": "bd"}
+
+
+@pytest.mark.parametrize("command", ["convergence", "preasymptotic"])
+def test_solver_breakdown_ends_the_sweep_cleanly(tmp_path, capsys, command):
+    # the one-point curl-curl rule with the negative-weight mass rule is indefinite at n=2
+    path = tmp_path / "bd.json"
+    path.write_text(json.dumps(BREAKDOWN))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "broke down at n=2 (iteration" in err and "curvature -" in err
+    assert (tmp_path / "out" / "bd.csv").read_text() == "n,h,dofs,l2_error,curl_error,hcurl_error,iters\n"
+    summary = (tmp_path / "out" / "bd_summary.txt").read_text()
+    assert summary.startswith("ABORTED: solver broke down at n=2 (iteration ") and summary.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["convergence", "preasymptotic"])
+def test_non_convergence_ends_the_sweep_cleanly(tmp_path, capsys, monkeypatch, command):
+    calls = []
+
+    def first_mesh_only(system):       # every mesh after the first reports non-convergence
+        calls.append(system)
+        fld, report = solve(system)
+        return (fld if len(calls) == 1 else None), report
+
+    monkeypatch.setattr(cli, "solve", first_mesh_only)
+    path = tmp_path / "nc.json"
+    path.write_text(json.dumps({"problem": "cube_poly", "mesh_ns": [1, 2, 3], "label": "nc"}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "did not converge at n=2" in err
+    assert len((tmp_path / "out" / "nc.csv").read_text().splitlines()) == 2     # header and n=1
+    summary = (tmp_path / "out" / "nc_summary.txt").read_text()
+    assert summary.startswith("ABORTED: solver did not converge at n=2 (residual ")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgefem.analysis import consistency_error, hcurl_error, probe_field
-from edgefem.assembly import QuadratureConfig, assemble
+from edgefem.assembly import EdgeSpace, QuadratureConfig, assemble, evaluate_forms
 from edgefem.mesh import TetMesh, structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule
@@ -63,3 +63,16 @@ def test_relabelling_invariance(order, perm):
     assert np.all(np.abs(values - values0) <= 1e-10 * np.abs(values0))
     if order == 1:
         assert np.abs(eigs - eigs0).max() <= 1e-12 * np.abs(eigs0).max()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_forms_rotate_with_the_phase_of_the_trial_field(order):
+    # Phi is linear in U: a real U times e^{0.7i} rotates Phi by the same phase; F reads only V
+    coeffs = catalog("cube_oscillatory(1)").coefficients
+    space = EdgeSpace.of(BASE, order)
+    U, V = probe_field(space, 11), probe_field(space, 23)
+    assert U.dtype == V.dtype == np.float64
+    phi, load = evaluate_forms(BASE, order, coeffs, RULES[order], U, V)
+    phi_rot, load_rot = evaluate_forms(BASE, order, coeffs, RULES[order], np.exp(0.7j) * U, V)
+    assert abs(phi_rot - np.exp(0.7j) * phi) <= 1e-13 * abs(phi)
+    assert load_rot == load

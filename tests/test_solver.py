@@ -108,8 +108,24 @@ def test_indefinite_matrix_breaks_down(rng):
     coeffs = Coefficients(mu_inv=np.eye(3) / 10.0, eps=10.0 * np.eye(3), omega=1.0,
                           current=catalog("cube_poly").coefficients.current)
     system = assemble(structured_cube_mesh(2), 1, coeffs, QuadratureConfig(OFF, CEN, CEN))
-    with pytest.raises(SolverBreakdown):
+    # its diagonal is already negative: CG stops before its first step, at the least entry
+    with pytest.raises(SolverBreakdown) as info:
         solve(system, tol=1e-10)
+    assert info.value.iteration == 0
+    assert info.value.curvature == system.matrix.diagonal().min() < 0.0
+
+
+def test_indefinite_matrix_with_positive_diagonal_breaks_down_inside_cg():
+    # the one-point curl-curl rule with the negative-weight mass rule: a positive diagonal,
+    # but CG meets non-positive curvature p^T A p after some steps
+    system = assemble(structured_cube_mesh(2), 2, catalog("cube_poly").coefficients,
+                      QuadratureConfig(CEN, builtin_rule("pt5"), builtin_rule("pt15")))
+    assert system.matrix.diagonal().min() > 0.0
+    with pytest.raises(SolverBreakdown) as info:
+        solve(system, tol=1e-10)
+    assert info.value.iteration >= 1
+    assert info.value.curvature <= 0.0
+    assert f"at iteration {info.value.iteration} " in str(info.value)
 
 
 def test_invalid_tolerance():
@@ -132,3 +148,35 @@ def test_dense_identity():
     sys_ = synthetic_system(np.eye(4), np.array([1.0, 2.0, -1.0, 0.5]))
     field = solve_dense(sys_)
     assert np.allclose(field.dofs[sys_.free_index], [1.0, 2.0, -1.0, 0.5])
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+def test_residual_history_has_one_entry_per_iteration(tol):
+    system = cube_system(3, problem="cube_oscillatory(10)")
+    field, report = solve(system, tol=tol)
+    assert report.converged and len(report.residual_history) == report.iterations
+    assert report.residual_history[-1] <= tol < min(report.residual_history[:-1])
+    _, cut = solve(system, tol=tol, max_iter=report.iterations - 1)
+    assert not cut.converged and cut.residual_history == report.residual_history[:-1]
+
+
+@pytest.mark.parametrize("problem", ["cube_poly", "cube_oscillatory(10)"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_catalog_systems_solve_in_float64(problem, order):
+    field, report = solve(cube_system(2, order, problem))
+    assert report.converged and field.dofs.dtype == np.float64
+
+
+def test_phase_of_the_current_rotates_the_solution():
+    # a current times e^{0.7i}: the rhs turns complex, the matrix stays real, CG takes the
+    # same steps and the solution is the real one times e^{0.7i}
+    phase = np.exp(0.7j)
+    entry = catalog("cube_oscillatory(10)")
+    coeffs = dataclasses.replace(entry.coefficients,
+                                 current=lambda pts: phase * entry.coefficients.current(pts))
+    mesh, config = structured_cube_mesh(3), QuadratureConfig(OFF, CEN, CEN)
+    real, rotated = (assemble(mesh, 1, c, config) for c in (entry.coefficients, coeffs))
+    assert rotated.matrix.dtype == np.float64 and rotated.rhs.dtype == np.complex128
+    (f_real, r_real), (f_rot, r_rot) = solve(real), solve(rotated)
+    assert r_rot.iterations == r_real.iterations
+    assert np.abs(f_rot.dofs - phase * f_real.dofs).max() <= 1e-12 * np.abs(f_real.dofs).max()
