@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,11 @@ from edgefem.analysis import (
     smooth_random_field,
 )
 from edgefem.assembly import Coefficients, EdgeSpace, MatrixField, QuadratureConfig, SolutionField
-from edgefem.mesh import structured_cube_mesh
+from edgefem.mesh import TetMesh, all_affine_data, structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule, rule_for_degree, tensorized_gl
+
+from conftest import random_tet
 
 OFF = builtin_rule("pt1_offcenter")
 CEN = builtin_rule("pt1_centroid")
@@ -106,6 +110,30 @@ def test_interpolant_of_in_space_linear_field_is_exact(order):
     rec = hcurl_error(sol, (lin, lin_curl), quad_degree=2 * order + 4)
     assert rec.l2_error <= 1e-12
     assert rec.curl_error <= 1e-12
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("perm", list(permutations(range(4))))
+def test_interpolant_of_a_global_basis_function_is_its_unit_vector(order, perm, rng):
+    # the interpolant and the basis are dual: on one tet whose vertex ids rank as ``perm``,
+    # global basis function j, extended as a polynomial beyond the tet, has dofs e_{gdof[j]}
+    corners = random_tet(rng)
+    ids = np.array(perm)
+    verts = np.empty_like(corners)
+    verts[ids] = corners
+    space = EdgeSpace(TetMesh(verts, ids[None]), order)
+    _, origin, _, inv = (a[0] for a in all_affine_data(space.mesh))
+
+    def global_basis(j):
+        def field(pts):
+            pushed = space.basis.eval_many((pts - origin) @ inv.T) @ inv
+            return np.einsum("nmc,m->nc", pushed, space.X[0][:, j])
+        return field
+
+    for j in range(space.basis.n_dofs):
+        unit = np.zeros(space.n_dofs)
+        unit[space.gdof[0, j]] = 1.0
+        assert np.abs(interpolate(space, global_basis(j)) - unit).max() <= 1e-12
 
 
 def test_zero_solution_error_closed_form():
