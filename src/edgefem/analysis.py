@@ -9,7 +9,6 @@ that shrinks with its curvature scaling like the square of its size.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +26,8 @@ from .assembly import (
     reference_config,
 )
 from .mesh import CurvedMap, QuadGeometry, TetMesh, structured_cube_mesh
-from .quadrature import RefQuadratureRule, _gl01, builtin_rule, rule_for_degree, tensorized_gl
-from .reference_element import LOCAL_EDGES, REF_VERTICES, _tri_rule, curl_basis
+from .quadrature import RefQuadratureRule, builtin_rule, rule_for_degree, tensorized_gl
+from .reference_element import LOCAL_EDGES, REF_VERTICES, curl_basis, dof_values
 
 __all__ = [
     "ErrorRecord",
@@ -156,38 +155,11 @@ def discrete_hcurl_norm(sol: SolutionField) -> float:
 def interpolate(space: EdgeSpace, field) -> np.ndarray:
     """Tangential-moment interpolant of a smooth vector field, full dof layout.
 
-    Evaluates the same edge/face functionals that define the global dofs, so
-    a field already in the discrete space is reproduced exactly, in the dtype of its values.
+    Applies the dof functionals of :func:`dof_values` to the mesh's edges and faces, whose
+    vertex ids ascend, so a field already in the discrete space is reproduced exactly, in the
+    dtype of its values.
     """
-    mesh = space.mesh
-
-    s, w = _gl01(8)
-    a = mesh.vertices[mesh.edges[:, 0]]
-    d = mesh.vertices[mesh.edges[:, 1]] - a
-    pts = a[:, None, :] + s[None, :, None] * d[:, None, :]
-    vals = np.asarray(field(pts.reshape(-1, 3))).reshape(len(a), len(s), 3)
-    mom0 = np.einsum("l,elc,ec->e", w, vals, d)
-    if space.order == 1:
-        return mom0
-    out = np.zeros(space.n_dofs, dtype=mom0.dtype)
-    out[0: 2 * mesh.n_edges: 2] = mom0
-    out[1: 2 * mesh.n_edges: 2] = np.einsum("l,elc,ec->e", w * (2.0 * s - 1.0), vals, d)
-
-    # the collapsed face rule averaged over the six orders of the face's vertices, so
-    # the moments do not depend on which vertex the global numbering puts first
-    st, tw = _tri_rule(6)
-    bary = np.column_stack([1.0 - st.sum(axis=1), st])
-    st = np.concatenate([bary[:, list(p[1:])] for p in itertools.permutations(range(3))])
-    tw = np.tile(tw, 6) / 6.0
-    fa = mesh.vertices[mesh.faces[:, 0]]
-    d1 = mesh.vertices[mesh.faces[:, 1]] - fa
-    d2 = mesh.vertices[mesh.faces[:, 2]] - fa
-    fpts = fa[:, None, :] + st[None, :, :1] * d1[:, None, :] + st[None, :, 1:] * d2[:, None, :]
-    fvals = np.asarray(field(fpts.reshape(-1, 3))).reshape(len(fa), len(tw), 3)
-    base = 2 * mesh.n_edges
-    out[base::2] = np.einsum("l,elc,ec->e", tw, fvals, d1)
-    out[base + 1::2] = np.einsum("l,elc,ec->e", tw, fvals, d2)
-    return out
+    return dof_values(field, space.order, space.mesh.vertices, space.mesh.edges, space.mesh.faces)
 
 
 def smooth_random_field(seed: int, n_modes: int = 4):

@@ -48,11 +48,13 @@ DEFAULT_MESH_NS = {1: [2, 4, 6, 8, 12, 16, 24], 2: [2, 4, 6, 8, 12]}
 
 
 def _lookup(fn, what: str, spec):
-    """``fn(spec)``, with an unknown ``spec`` raised as a ValueError that names it."""
+    """``fn(spec)``, with an unknown or unusable ``spec`` raised as a ValueError that names it."""
     try:
         return fn(spec)
     except (KeyError, TypeError):
         raise ValueError(f"unknown {what} {spec!r}") from None
+    except ValueError as err:
+        raise ValueError(f"{what} {spec!r}: {err}") from None
 
 
 def _check_order(order):
@@ -194,14 +196,17 @@ def load_config(command: str, path):
 
 
 def resolve_rule(spec) -> RefQuadratureRule:
-    """A rule from a label, a 'tensorized:n' string, or a required degree."""
+    """A rule from a label, a 'tensorized:n' string, or a required degree; a ValueError for a
+    rule that does not integrate constants (certified degree -1)."""
     if isinstance(spec, int):
         return rule_for_degree(spec)
-    if isinstance(spec, str):
-        if spec.startswith("tensorized:"):
-            return tensorized_gl(int(spec.split(":", 1)[1]))
-        return builtin_rule(spec)
-    raise TypeError(f"cannot interpret quadrature spec {spec!r}")
+    if not isinstance(spec, str):
+        raise TypeError(f"cannot interpret quadrature spec {spec!r}")
+    rule = tensorized_gl(int(spec.split(":", 1)[1])) if spec.startswith("tensorized:") else builtin_rule(spec)
+    if rule.exactness_degree < 0:
+        raise ValueError(f"rule {rule.label} is certified to degree {rule.exactness_degree}: "
+                         "it does not integrate constants")
+    return rule
 
 
 def _write(out_dir, name, text):

@@ -284,7 +284,8 @@ def write_gmsh(mesh: TetMesh, path):
 
 
 def read_gmsh(path) -> TetMesh:
-    """Read an MSH ASCII v2.2 file; elements other than 4-node tets are skipped."""
+    """Read an MSH ASCII v2.2 file; elements other than 4-node tets are skipped.  Malformed
+    input raises a ValueError that names its 1-based line."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
     pos = 0
@@ -295,37 +296,49 @@ def read_gmsh(path) -> TetMesh:
         nonlocal pos
         if pos >= len(lines) or lines[pos] != header:
             found = lines[pos] if pos < len(lines) else "<eof>"
-            raise ValueError(f"malformed section header: expected {header!r}, found {found!r}")
+            raise ValueError(f"line {pos + 1}: malformed section header: expected {header!r}, found {found!r}")
         pos += 1
 
+    def take(what):
+        """The fields of the next line, which must hold ``what`` and not end the section."""
+        nonlocal pos
+        if pos >= len(lines) or not lines[pos] or lines[pos].startswith("$"):
+            found = lines[pos] if pos < len(lines) else "<eof>"
+            raise ValueError(f"line {pos + 1}: expected {what}, found {found!r}")
+        pos += 1
+        return lines[pos - 1].split()
+
     expect("$MeshFormat")
-    version = lines[pos].split()[0]
+    version = take("the MSH version")[0]
     if not version.startswith("2."):
         raise ValueError(f"unsupported MSH version {version!r} (need ASCII v2.x)")
-    pos += 1
     expect("$EndMeshFormat")
 
     expect("$Nodes")
-    n_nodes = int(lines[pos]); pos += 1
-    for _ in range(n_nodes):
-        parts = lines[pos].split(); pos += 1
-        nodes[int(parts[0])] = [float(parts[1]), float(parts[2]), float(parts[3])]
+    n_nodes = int(take("the node count")[0])
+    for i in range(n_nodes):
+        parts = take(f"node {i + 1} of {n_nodes}")
+        if len(parts) != 4:
+            raise ValueError(f"line {pos}: a node row has 4 fields (id x y z), found {len(parts)}")
+        if int(parts[0]) in nodes:
+            raise ValueError(f"line {pos}: node {parts[0]} is defined twice")
+        nodes[int(parts[0])] = [float(p) for p in parts[1:]]
     expect("$EndNodes")
 
     expect("$Elements")
-    n_elems = int(lines[pos]); pos += 1
-    for _ in range(n_elems):
-        parts = lines[pos].split(); pos += 1
-        etype = int(parts[1])
-        if etype != 4:
+    n_elems = int(take("the element count")[0])
+    for i in range(n_elems):
+        parts = take(f"element {i + 1} of {n_elems}")
+        if len(parts) < 3 or len(parts) < 3 + int(parts[2]):
+            raise ValueError(f"line {pos}: an element row has an id, a type, a tag count and its tags")
+        if int(parts[1]) != 4:
             continue
-        ntags = int(parts[2])
-        conn = [int(p) for p in parts[3 + ntags:]]
+        conn = [int(p) for p in parts[3 + int(parts[2]):]]
         if len(conn) != 4:
-            raise ValueError("4-node tetrahedron with wrong connectivity length")
+            raise ValueError(f"line {pos}: 4-node tetrahedron with wrong connectivity length")
         for v in conn:
             if v not in nodes:
-                raise ValueError(f"element {parts[0]} references undefined node {v}")
+                raise ValueError(f"line {pos}: element {parts[0]} references undefined node {v}")
         tets.append(conn)
     expect("$EndElements")
 

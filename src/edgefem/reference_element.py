@@ -13,8 +13,9 @@ where T is the unit triangle and d1 = x_b - x_a, d2 = x_c - x_a.  The same
 functionals evaluated with globally ascending vertex ids are element
 independent, which is what makes the assembled space tangentially continuous.
 The change from the local canonical functionals to the global ones depends
-only on how an element's four vertex ids rank; :func:`orientation_table`
-applies the functionals once per ranking.
+only on how an element's four vertex ids rank.  :func:`dof_values` is the one
+statement of the functionals: it defines the basis by duality, builds the
+orientation table once per ranking and interpolates on a mesh.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "RANKINGS",
     "REF_VERTICES",
     "curl_basis",
+    "dof_values",
     "orientation_table",
 ]
 
@@ -136,37 +138,45 @@ def _generators(order):
     return gens
 
 
-# -- canonical reference functionals ------------------------------------------
+# -- the degrees of freedom ----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _tri_rule(n):
-    # Collapsed tensor rule on the unit triangle, exact well past degree 2.
-    xu, wu = _gl01(n)
-    xv, wv = _gl01(n)
-    U, V = np.meshgrid(xu, xv, indexing="ij")
-    WU, WV = np.meshgrid(wu, wv, indexing="ij")
-    s = U.ravel()
-    t = (V * (1.0 - U)).ravel()
-    w = (WU * WV).ravel() * (1.0 - U.ravel())
-    return np.column_stack([s, t]), w
+def _face_rule():
+    """The collapsed 6 x 6 Gauss rule of the unit triangle, averaged over the six orders of
+    its corners (216 points), so a face moment does not depend on which corner is listed first."""
+    x, w = _gl01(6)
+    u, v = np.repeat(x, 6), np.tile(x, 6) * (1.0 - np.repeat(x, 6))
+    bary = np.column_stack([1.0 - (u + v), u, v])
+    weights = np.repeat(w, 6) * np.tile(w, 6) * (1.0 - u)
+    return np.concatenate([bary[:, list(p[1:])] for p in permutations(range(3))]), np.tile(weights, 6) / 6.0
 
 
-def _edge_moment(vecfun, a, b, moment, n=8):
-    d = REF_VERTICES[b] - REF_VERTICES[a]
-    s, w = _gl01(n)
-    pts = REF_VERTICES[a] + np.outer(s, d)
-    vals = vecfun(pts) @ d
-    if moment == 1:
-        vals = (vals.T * (2.0 * s - 1.0)).T
-    return np.dot(w, vals)
+def _moments(field, vertices, entities, params, weights):
+    """Moments of ``field`` on entities given as rows (a, b) or (a, b, c) of vertex ids: at the
+    points x_a + params @ (x_b - x_a, x_c - x_a), ``field`` dotted with each direction x_b - x_a,
+    x_c - x_a and summed with each of ``weights``.  Each entity's moments are consecutive."""
+    corners = vertices[np.asarray(entities)]                    # (M, 2 or 3, 3)
+    dirs = corners[:, 1:] - corners[:, :1]
+    pts = corners[:, :1] + params @ dirs                        # (M, L, 3)
+    vals = np.asarray(field(pts.reshape(-1, 3)))
+    vals = vals.reshape(*pts.shape[:2], *vals.shape[1:])
+    moms = [np.einsum("l,el...c,ec->e...", w, vals, dirs[:, i]) for w in weights for i in range(dirs.shape[1])]
+    return np.stack(moms, axis=1).reshape(-1, *vals.shape[2:-1])
 
 
-def _face_moment(vecfun, a, b, c, direction, n=6):
-    d1 = REF_VERTICES[b] - REF_VERTICES[a]
-    d2 = REF_VERTICES[c] - REF_VERTICES[a]
-    st, w = _tri_rule(n)
-    pts = REF_VERTICES[a] + st[:, :1] * d1 + st[:, 1:] * d2
-    return np.dot(w, vecfun(pts) @ (d1 if direction == 0 else d2))
+def dof_values(field, order: int, vertices, edges, faces) -> np.ndarray:
+    """The dofs of ``field`` on the edges (M, 2) and faces (F, 3) given as vertex ids into
+    ``vertices``; each entity's moments follow the order in which its vertices are listed.
+
+    ``field`` maps (N, 3) points to (N, ..., 3) values.  Order 1 gives moment 0 of each
+    edge; order 2 gives moments 0 and 1 of each edge, then of each face: shape (n, ...).
+    """
+    s, w = _gl01(8)
+    if order == 1:
+        return _moments(field, vertices, edges, s[:, None], [w])
+    st, tw = _face_rule()
+    return np.concatenate([_moments(field, vertices, edges, s[:, None], [w, w * (2.0 * s - 1.0)]),
+                           _moments(field, vertices, faces, st, [tw])])
 
 
 @dataclass(frozen=True)
@@ -175,7 +185,6 @@ class CurlBasis:
 
     order: int
     n_dofs: int
-    dof_entities: tuple                 # per-dof ("edge"|"face", local index, moment)
     value_coeffs: np.ndarray            # (n_dofs, 3, n_mono_value)
     curl_coeffs: np.ndarray             # (n_dofs, 3, n_mono_curl)
     value_monos: tuple
@@ -192,37 +201,11 @@ class CurlBasis:
         return np.einsum("nm,dcm->ndc", m, self.curl_coeffs)
 
 
-def _dof_entities(order):
-    ents = []
-    moments = (0,) if order == 1 else (0, 1)
-    for e in range(6):
-        for m in moments:
-            ents.append(("edge", e, m))
-    if order == 2:
-        for f in range(4):
-            for m in (0, 1):
-                ents.append(("face", f, m))
-    return tuple(ents)
-
-
-def _apply_functional(ent, vecfun, rank=(0, 1, 2, 3)):
-    """Dof functional ``ent`` of ``vecfun`` ((N, 3) points to (N, 3) or (N, m, 3)
-    values), the entity's vertices taken in ascending ``rank``."""
-    kind, idx, moment = ent
-    verts = sorted(LOCAL_EDGES[idx] if kind == "edge" else LOCAL_FACES[idx], key=rank.__getitem__)
-    if kind == "edge":
-        return _edge_moment(vecfun, *verts, moment)
-    return _face_moment(vecfun, *verts, moment)
-
-
 @lru_cache(maxsize=None)
 def curl_basis(order: int) -> CurlBasis:
     """Construct the order-1 (Whitney) or order-2 basis by dualizing generators."""
     gens = _generators(order)
-    ents = _dof_entities(order)
     n = len(gens)
-    assert n == len(ents)
-
     value_monos = tuple(_monomials_upto(order))
     curl_monos = tuple(_monomials_upto(order - 1))
     vidx = {m: i for i, m in enumerate(value_monos)}
@@ -236,17 +219,8 @@ def curl_basis(order: int) -> CurlBasis:
             gen_vals[j, comp] = _coeff_vector(g[comp], vidx)
             gen_curls[j, comp] = _coeff_vector(cg[comp], cidx)
 
-    def vecfun_for(j):
-        def fun(pts):
-            m = _mono_values(value_monos, pts)
-            return m @ gen_vals[j].T
-        return fun
-
-    dof_mat = np.zeros((n, n))
-    for i, ent in enumerate(ents):
-        for j in range(n):
-            dof_mat[i, j] = _apply_functional(ent, vecfun_for(j))
-
+    generators = lambda pts: np.einsum("nm,jcm->njc", _mono_values(value_monos, pts), gen_vals)
+    dof_mat = dof_values(generators, order, REF_VERTICES, LOCAL_EDGES, LOCAL_FACES)
     cond = float(np.linalg.cond(dof_mat))
     coeff = np.linalg.inv(dof_mat)        # column j: generator weights of dual dof j
     value_coeffs = np.einsum("jd,jcm->dcm", coeff, gen_vals)
@@ -254,7 +228,7 @@ def curl_basis(order: int) -> CurlBasis:
     # Scrub inversion noise so k=1 reproduces the exact Whitney coefficients.
     value_coeffs[np.abs(value_coeffs) < 1e-13] = 0.0
     curl_coeffs[np.abs(curl_coeffs) < 1e-13] = 0.0
-    return CurlBasis(order, n, ents, value_coeffs, curl_coeffs, value_monos, curl_monos, cond)
+    return CurlBasis(order, n, value_coeffs, curl_coeffs, value_monos, curl_monos, cond)
 
 
 # -- orientation ---------------------------------------------------------------
@@ -273,7 +247,8 @@ def orientation_table(order: int) -> np.ndarray:
     basis = curl_basis(order)
     table = np.empty((len(RANKINGS), basis.n_dofs, basis.n_dofs))
     for r, rank in enumerate(RANKINGS):
-        C = np.array([_apply_functional(ent, basis.eval_many, rank) for ent in basis.dof_entities])
+        edges, faces = ([sorted(e, key=rank.__getitem__) for e in ents] for ents in (LOCAL_EDGES, LOCAL_FACES))
+        C = dof_values(basis.eval_many, order, REF_VERTICES, edges, faces)
         table[r] = np.linalg.inv(np.rint(C))
     table.flags.writeable = False
     return table

@@ -52,6 +52,8 @@ def test_resolve_rule_specs():
         resolve_rule(3.5)
     with pytest.raises(TypeError):
         resolve_rule(builtin_rule("pt5"))
+    with pytest.raises(ValueError, match="does not integrate constants"):
+        resolve_rule("tensorized:1")      # its one weight is 1/8
 
 
 @pytest.mark.parametrize("problem", ["cube_poly", "cube_oscillatory(10)", "cube_oscillatory(20)"])
@@ -287,12 +289,18 @@ def test_convergence_fit_window_checked_at_load(tmp_path, capsys, monkeypatch):
     ("convergence", {"problem": "cube_poly", "mesh_ns": [0, 2, 4]}, "mesh_ns must be strictly increasing"),
     ("preasymptotic", {"problem": "cube_poly", "mesh_ns": [0, 2, 4]}, "mesh_ns must be strictly increasing"),
     ("convergence", {"problem": "cube_poly", "q1": "degree:5"}, "unknown q1 rule 'degree:5'"),
+    ("convergence", {"problem": "cube_poly", "mesh_ns": [1, 2, 3], "q1": "tensorized:1"},
+     "q1 rule 'tensorized:1': rule tensor_gl1 is certified to degree -1"),
+    ("convergence", {"problem": "cube_poly", "q1": "tensorized:x"}, "q1 rule 'tensorized:x': invalid literal"),
+    ("convergence", {"problem": "cube_poly", "q2": -2}, "q2 rule -2: degree must be >= 0"),
+    ("probe", {"kind": "consistency", "m": -3}, "q2 rule -3: degree must be >= 0"),
 ], ids=["convergence-rule", "convergence-problem", "consistency-rule", "consistency-problem",
         "consistency-order", "curved-mode", "curved-degree-below-zero", "fit_window-string",
         "consistency-m-string", "mesh_ns-element-string", "curved-below-string", "curved-order-bool",
         "convergence-label-path", "consistency-label-empty", "curved-label-path",
         "consistency-mesh_ns-zero", "consistency-mesh_ns-repeated", "convergence-mesh_ns-zero",
-        "preasymptotic-mesh_ns-zero", "convergence-degree-spelling"])
+        "preasymptotic-mesh_ns-zero", "convergence-degree-spelling", "convergence-rule-degree-below-zero",
+        "convergence-tensorized-not-int", "convergence-degree-negative", "consistency-m-negative"])
 def test_main_rejects_bad_values_at_load(tmp_path, capsys, command, config, named):
     # exit 1 with a message naming the value, not a traceback after some levels
     path = tmp_path / "c.json"

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import numpy as np
@@ -299,7 +300,28 @@ def test_gmsh_undefined_node(tmp_path):
         "$Nodes\n4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n$EndNodes\n"
         "$Elements\n1\n7 4 2 0 1 1 2 3 9\n$EndElements\n"
     )
-    with pytest.raises(ValueError, match="element 7 references undefined node 9"):
+    with pytest.raises(ValueError, match="line 13: element 7 references undefined node 9"):
+        read_gmsh(path)
+
+
+HEAD = "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+NODES = "$Nodes\n4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n$EndNodes\n"
+
+
+@pytest.mark.parametrize("text, named", [
+    (HEAD + "$Nodes\n4\n1 0 0 0\n2 1 0 0\n$EndNodes\n", "line 8: expected node 3 of 4, found '$EndNodes'"),
+    (HEAD + "$Nodes\n4\n1 0 0 0\n2 1 0 0\n", "line 8: expected node 3 of 4, found '<eof>'"),
+    (HEAD + "$Nodes\n4\n1 0 0 0\n2 1 0\n", "line 7: a node row has 4 fields (id x y z), found 3"),
+    (HEAD + "$Nodes\n5\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n2 5 5 5\n$EndNodes\n", "line 10: node 2 is defined twice"),
+    (HEAD + NODES + "$Elements\n2\n1 4 2 0 1 1 2 3 4\n2 4 9 0 1\n$EndElements\n",
+     "line 14: an element row has an id, a type, a tag count and its tags"),
+    (HEAD + NODES + "$Elements\n2\n1 4 2 0 1 1 2 3 4\n", "line 14: expected element 2 of 2, found '<eof>'"),
+], ids=["nodes-end-early", "file-ends-in-nodes", "node-row-short", "node-repeated", "element-row-short",
+        "file-ends-in-elements"])
+def test_gmsh_malformed_rows_name_their_line(tmp_path, text, named):
+    path = tmp_path / "bad.msh"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(named)):
         read_gmsh(path)
 
 

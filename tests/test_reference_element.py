@@ -12,12 +12,20 @@ from edgefem.reference_element import (
     LOCAL_FACES,
     REF_VERTICES,
     curl_basis,
+    dof_values,
     orientation_table,
 )
 
 from conftest import fd_curl, point_rule, random_tet, tet_geometry
 
 LAM_GRADS = np.array([[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def dof_entities(order):
+    """(kind, local entity, moment) of each local dof, in the layout of ``dof_values``."""
+    edges = [("edge", e, m) for e in range(len(LOCAL_EDGES)) for m in range(order)]
+    faces = [("face", f, m) for f in range(len(LOCAL_FACES)) for m in range(2)]
+    return edges + faces if order == 2 else edges
 
 
 def whitney(a, b, p):
@@ -55,8 +63,11 @@ def test_whitney_edge_duality():
 def test_order2_dof_count():
     basis = curl_basis(2)
     assert basis.n_dofs == 20 == 6 * 2 + 4 * 2
-    kinds = [ent[0] for ent in basis.dof_entities]
+    kinds = [ent[0] for ent in dof_entities(2)]
     assert kinds.count("edge") == 12 and kinds.count("face") == 8
+    no_faces = np.empty((0, 3), dtype=int)
+    assert dof_values(basis.eval_many, 2, REF_VERTICES, LOCAL_EDGES, no_faces).shape == (12, 20)
+    assert dof_values(basis.eval_many, 2, REF_VERTICES, LOCAL_EDGES, LOCAL_FACES).shape == (20, 20)
 
 
 def test_whitney_curls_constant_and_exact():
@@ -175,7 +186,7 @@ def _global_basis_at(mesh, tet, basis, phys_pts):
 def _global_entities(mesh, tet, basis):
     gids = mesh.tets[tet]
     ents = []
-    for kind, idx, mom in basis.dof_entities:
+    for kind, idx, mom in dof_entities(basis.order):
         local = LOCAL_EDGES[idx] if kind == "edge" else LOCAL_FACES[idx]
         ents.append((kind, tuple(sorted(gids[list(local)])), mom))
     return ents
@@ -238,15 +249,10 @@ def test_conformity_across_shared_face(order, perm, rng):
 
 
 def test_unisolvence():
-    from edgefem.reference_element import _apply_functional
-
     for order, tol in ((1, 1e-12), (2, 1e-11)):
         basis = curl_basis(order)
         n = basis.n_dofs
-        dof_mat = np.zeros((n, n))
-        for i, ent in enumerate(basis.dof_entities):
-            for j in range(n):
-                dof_mat[i, j] = _apply_functional(ent, lambda pts, j=j: basis.eval_many(pts)[:, j, :])
+        dof_mat = dof_values(basis.eval_many, order, REF_VERTICES, LOCAL_EDGES, LOCAL_FACES)
         assert np.abs(dof_mat - np.eye(n)).max() <= tol
         assert basis.generator_condition < 1e3
 
