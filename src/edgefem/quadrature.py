@@ -11,16 +11,23 @@ Tabulated rules whose certification disagrees with their declared degree
 refuse to construct; empirically built rules (tensorized Gauss rules pushed
 through the collapsed-coordinate map) are certified by increasing the probe
 degree until a monomial fails.
+
+The one-dimensional Gauss rules behind the collapsed products are read from
+``gauss_rules.json``: scipy 1.17.1's ``roots_legendre(n)`` and
+``roots_jacobi(n, alpha, 0)`` for alpha = 1, 2 and n <= GAUSS_MAX_N, recorded
+bit for bit, so the rules stay those of scipy without importing
+``scipy.special`` at run time.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = [
     "RefQuadratureRule",
@@ -36,6 +43,9 @@ __all__ = [
 
 #: Relative tolerance for exactness certification.
 CERTIFY_RTOL = 1e-12
+
+#: Largest number of points of a recorded one-dimensional Gauss rule.
+GAUSS_MAX_N = 20
 
 #: Labels accepted by :func:`builtin_rule`.
 BUILTIN_LABELS = ("pt1_offcenter", "pt1_centroid", "pt4", "pt5", "pt15", "high")
@@ -62,6 +72,8 @@ class RefQuadratureRule:
         wts = np.ascontiguousarray(np.atleast_1d(self.weights), dtype=float)
         if pts.shape != (len(wts), 3):
             raise ValueError("points/weights shape mismatch")
+        if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
+            raise ValueError(f"rule '{self.label}' has a point or weight that is not a finite number")
         bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
         if bary.min() < -1e-13 or bary.max() > 1.0 + 1e-13:
             raise ValueError(f"rule '{self.label}' has points outside the closed reference tetrahedron")
@@ -96,11 +108,35 @@ def monomials_of_degree(d: int):
             yield (a, b, d - a - b)
 
 
-def _quadrature_error(points, weights, abc):
-    a, b, c = abc
-    approx = np.dot(weights, points[:, 0] ** a * points[:, 1] ** b * points[:, 2] ** c)
-    exact = exact_monomial_integral(a, b, c)
-    return abs(approx - exact) / max(1.0, abs(exact))
+@lru_cache(maxsize=None)
+def _monomials(d):
+    """Exponents (M, 3) of the monomials of total degree ``d``, in the order of
+    :func:`monomials_of_degree`, and their exact integrals (M,)."""
+    abc = np.array(list(monomials_of_degree(d)))
+    return abc, np.array([exact_monomial_integral(*m) for m in abc.tolist()])
+
+
+def _degree_errors(powers, weights, d):
+    """Exponents and errors, relative to max(1, |exact|), of the rule on every monomial of
+    total degree ``d``; ``powers[k]`` holds the k-th powers of the coordinates, shape (3, L).
+
+    The monomial table is formed in row blocks of at most 2**20 values (one block up to
+    n = 12 of the Gauss products), so no transient array exceeds 8 MiB for any rule.
+    """
+    abc, exact = _monomials(d)
+    blocks = np.array_split(abc, -(-len(abc) * len(weights) // 2 ** 20))
+    approx = np.concatenate([(powers[m[:, 0], 0] * powers[m[:, 1], 1] * powers[m[:, 2], 2]) @ weights
+                             for m in blocks])
+    return abc, np.abs(approx - exact) / np.maximum(1.0, np.abs(exact))
+
+
+def _powers(points, d):
+    """Powers 0..d of the coordinates by repeated multiplication, shape (d + 1, 3, L)."""
+    powers = np.empty((d + 1, *points.T.shape))
+    powers[0] = 1.0
+    for k in range(1, d + 1):
+        powers[k] = powers[k - 1] * points.T
+    return powers
 
 
 def verify_exactness(rule: RefQuadratureRule, d: int) -> VerifyReport:
@@ -109,23 +145,24 @@ def verify_exactness(rule: RefQuadratureRule, d: int) -> VerifyReport:
     Returns a report carrying the worst offending monomial (by relative
     error against max(1, |exact|)).
     """
+    powers = _powers(rule.points, d)
     worst_err = 0.0
     worst = (0, 0, 0)
     for deg in range(d + 1):
-        for abc in monomials_of_degree(deg):
-            err = _quadrature_error(rule.points, rule.weights, abc)
-            if err > worst_err:
-                worst_err = err
-                worst = abc
+        abc, err = _degree_errors(powers, rule.weights, deg)
+        i = int(np.argmax(err))
+        if err[i] > worst_err:
+            worst_err = float(err[i])
+            worst = tuple(abc[i].tolist())
     return VerifyReport(ok=worst_err <= CERTIFY_RTOL, degree=d, worst_monomial=worst, worst_error=worst_err)
 
 
 def _certify(points, weights, max_degree: int = 40) -> int:
     """Largest degree at which every monomial passes; -1 if constants fail."""
+    powers = _powers(points, max_degree)
     degree = -1
     for d in range(max_degree + 1):
-        ok = all(_quadrature_error(points, weights, abc) <= CERTIFY_RTOL for abc in monomials_of_degree(d))
-        if not ok:
+        if not np.all(_degree_errors(powers, weights, d)[1] <= CERTIFY_RTOL):
             break
         degree = d
     return degree
@@ -227,16 +264,20 @@ def _keast24_table():
 
 
 @lru_cache(maxsize=None)
-def _gl01(n):
-    """n-point Gauss-Legendre rule on [0, 1]."""
-    x, w = roots_legendre(n)
-    return (x + 1.0) / 2.0, w / 2.0
+def _gauss_table():
+    return json.loads(Path(__file__).with_name("gauss_rules.json").read_text())["rules"]
 
 
-def _jacobi01(n, alpha):
-    # n-point Gauss-Jacobi on [0, 1] with weight (1-u)^alpha.
-    x, w = roots_jacobi(n, alpha, 0.0)
+@lru_cache(maxsize=None)
+def _gauss01(n, alpha=0):
+    """n-point Gauss-Jacobi rule on [0, 1] with weight (1-u)^alpha (Gauss-Legendre for alpha 0)."""
+    x, w = (np.array(a) for a in _gauss_table()[str(alpha)][n - 1])
     return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
+
+
+def _check_points(n, label):
+    if not 1 <= n <= GAUSS_MAX_N:
+        raise ValueError(f"{label}: n must be 1..{GAUSS_MAX_N}, the Gauss rules recorded in gauss_rules.json")
 
 
 def _duffy_points(u, v, w):
@@ -257,11 +298,10 @@ def tensorized_gl(n: int) -> RefQuadratureRule:
     pulled-back integrand, so the certified degree is 2n-3 in practice
     (and -1 for n=1, whose single weight is 1/8 rather than 1/6).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xu, wu = _gl01(n)
-    xv, wv = _gl01(n)
-    xw, ww = _gl01(n)
+    _check_points(n, f"tensor_gl{n}")
+    xu, wu = _gauss01(n)
+    xv, wv = _gauss01(n)
+    xw, ww = _gauss01(n)
     U, V, W = np.meshgrid(xu, xv, xw, indexing="ij")
     WU, WV, WW = np.meshgrid(wu, wv, ww, indexing="ij")
     u, v, w = U.ravel(), V.ravel(), W.ravel()
@@ -279,11 +319,10 @@ def conical_rule(n: int) -> RefQuadratureRule:
     The collapsed-map Jacobian is absorbed into Gauss-Jacobi weights on the
     first two axes, so the classical 2n-1 exactness survives the map.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xu, wu = _jacobi01(n, 2.0)
-    xv, wv = _jacobi01(n, 1.0)
-    xw, ww = _gl01(n)
+    _check_points(n, f"conical{n}")
+    xu, wu = _gauss01(n, 2)
+    xv, wv = _gauss01(n, 1)
+    xw, ww = _gauss01(n)
     U, V, W = np.meshgrid(xu, xv, xw, indexing="ij")
     WU, WV, WW = np.meshgrid(wu, wv, ww, indexing="ij")
     u, v, w = U.ravel(), V.ravel(), W.ravel()
@@ -329,6 +368,9 @@ def rule_for_degree(d: int) -> RefQuadratureRule:
     """Cheapest stored or constructed rule certified to degree >= d."""
     if d < 0:
         raise ValueError("degree must be >= 0")
+    if d > 2 * GAUSS_MAX_N - 1:
+        raise ValueError(f"degree {d} is above {2 * GAUSS_MAX_N - 1}, the highest that conical rules "
+                         f"of n <= {GAUSS_MAX_N} Gauss points reach")
     table = [
         builtin_rule("pt1_centroid"),   # 1 point,  degree 1
         builtin_rule("pt4"),            # 4 points, degree 2

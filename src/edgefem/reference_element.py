@@ -26,7 +26,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .quadrature import _gl01
+from .quadrature import _gauss01
 
 __all__ = [
     "CurlBasis",
@@ -144,7 +144,7 @@ def _generators(order):
 def _face_rule():
     """The collapsed 6 x 6 Gauss rule of the unit triangle, averaged over the six orders of
     its corners (216 points), so a face moment does not depend on which corner is listed first."""
-    x, w = _gl01(6)
+    x, w = _gauss01(6)
     u, v = np.repeat(x, 6), np.tile(x, 6) * (1.0 - np.repeat(x, 6))
     bary = np.column_stack([1.0 - (u + v), u, v])
     weights = np.repeat(w, 6) * np.tile(w, 6) * (1.0 - u)
@@ -171,7 +171,7 @@ def dof_values(field, order: int, vertices, edges, faces) -> np.ndarray:
     ``field`` maps (N, 3) points to (N, ..., 3) values.  Order 1 gives moment 0 of each
     edge; order 2 gives moments 0 and 1 of each edge, then of each face: shape (n, ...).
     """
-    s, w = _gl01(8)
+    s, w = _gauss01(8)
     if order == 1:
         return _moments(field, vertices, edges, s[:, None], [w])
     st, tw = _face_rule()

@@ -17,7 +17,8 @@ are the command-line outputs, written by
 
     edgefem <command> --config configs/<name>.json --out tests/golden
 
-where <command> is the first word of <name>.
+where <command> is the first word of <name>; ``quadcheck.txt`` is written by
+``edgefem quad-check --out tests/golden``.
 """
 
 import re
@@ -35,7 +36,7 @@ from edgefem.analysis import (
     probe_field,
 )
 from edgefem.assembly import EdgeSpace, QuadratureConfig, assemble, evaluate_forms
-from edgefem.cli import ExperimentConfig, load_config, run_convergence, run_preasymptotic
+from edgefem.cli import ExperimentConfig, load_config, run_convergence, run_preasymptotic, run_quadcheck
 from edgefem.mesh import structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import BUILTIN_LABELS, builtin_rule, tensorized_gl, verify_exactness
@@ -103,6 +104,12 @@ def test_criterion1_quadrature_certification():
     elapsed = time.time() - t0
     ok = tight and elapsed < 1.0
     assert report(1, ok, f"all rules certified tight in {elapsed:.2f}s")
+
+
+def test_quadcheck_report_matches_golden(tmp_path):
+    # degrees, tightness and the worst monomial above each degree, as edgefem quad-check writes them
+    run_quadcheck(tmp_path)
+    assert_matches_golden(tmp_path)
 
 
 # -- the four convergence configs, shared by criteria 2-4 and their goldens ------

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from edgefem.quadrature import builtin_rule, dump_rule, rule_for_degree
 from edgefem.solver import solve
 
 from conftest import fd_curl
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_config_validation(tmp_path):
@@ -54,6 +60,29 @@ def test_resolve_rule_specs():
         resolve_rule(builtin_rule("pt5"))
     with pytest.raises(ValueError, match="does not integrate constants"):
         resolve_rule("tensorized:1")      # its one weight is 1/8
+
+
+def test_set_up_imports_neither_scipy_special_nor_linalg():
+    # the Gauss rules come from gauss_rules.json, so loading every shipped config, the error and
+    # probe rules, both bases and quad-check leave these two modules unloaded
+    code = f"""
+import sys
+from pathlib import Path
+from edgefem import cli
+from edgefem.reference_element import curl_basis
+for path in sorted(Path({str(ROOT / "configs")!r}).glob("*.json")):
+    config = cli.load_config(path.stem.split("_")[0], path)
+    if isinstance(config, cli.CurvedProbe):
+        cli.resolve_rule(config.degree)
+for spec in (8, 10, "tensorized:10"):
+    cli.resolve_rule(spec)
+curl_basis(1), curl_basis(2)
+cli.run_quadcheck()
+print(sorted(name for name in ("scipy.special", "scipy.linalg") if name in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("problem", ["cube_poly", "cube_oscillatory(10)", "cube_oscillatory(20)"])
@@ -160,6 +189,11 @@ def test_run_quadcheck_custom_rules(tmp_path):
     bad.write_text("fake 3 1\n0.25 0.25 0.25 0.1666\n")
     with pytest.raises(RuntimeError, match="certification failed"):
         run_quadcheck(tmp_path, custom_rules_path=bad)
+
+    nan = tmp_path / "nan.txt"      # a NaN compares false with every bound and error tolerance
+    nan.write_text("nanrule 1 1\nnan 0.25 0.25 0.16666666666666666\n")
+    with pytest.raises(RuntimeError, match="nanrule .*pass=False .*not a finite number"):
+        run_quadcheck(tmp_path, custom_rules_path=nan)
 
 
 def test_main_quadcheck_exit_code(tmp_path, capsys):
@@ -293,6 +327,9 @@ def test_convergence_fit_window_checked_at_load(tmp_path, capsys, monkeypatch):
      "q1 rule 'tensorized:1': rule tensor_gl1 is certified to degree -1"),
     ("convergence", {"problem": "cube_poly", "q1": "tensorized:x"}, "q1 rule 'tensorized:x': invalid literal"),
     ("convergence", {"problem": "cube_poly", "q2": -2}, "q2 rule -2: degree must be >= 0"),
+    ("convergence", {"problem": "cube_poly", "q1": "tensorized:21"},
+     "q1 rule 'tensorized:21': tensor_gl21: n must be 1..20"),
+    ("convergence", {"problem": "cube_poly", "q2": 40}, "q2 rule 40: degree 40 is above 39"),
     ("probe", {"kind": "consistency", "m": -3}, "q2 rule -3: degree must be >= 0"),
 ], ids=["convergence-rule", "convergence-problem", "consistency-rule", "consistency-problem",
         "consistency-order", "curved-mode", "curved-degree-below-zero", "fit_window-string",
@@ -300,7 +337,8 @@ def test_convergence_fit_window_checked_at_load(tmp_path, capsys, monkeypatch):
         "convergence-label-path", "consistency-label-empty", "curved-label-path",
         "consistency-mesh_ns-zero", "consistency-mesh_ns-repeated", "convergence-mesh_ns-zero",
         "preasymptotic-mesh_ns-zero", "convergence-degree-spelling", "convergence-rule-degree-below-zero",
-        "convergence-tensorized-not-int", "convergence-degree-negative", "consistency-m-negative"])
+        "convergence-tensorized-not-int", "convergence-degree-negative", "convergence-tensorized-past-table",
+        "convergence-degree-past-table", "consistency-m-negative"])
 def test_main_rejects_bad_values_at_load(tmp_path, capsys, command, config, named):
     # exit 1 with a message naming the value, not a traceback after some levels
     path = tmp_path / "c.json"

@@ -6,7 +6,9 @@ import pytest
 from edgefem.mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data
 from edgefem.quadrature import (
     BUILTIN_LABELS,
+    GAUSS_MAX_N,
     RefQuadratureRule,
+    _gauss_table,
     builtin_rule,
     conical_rule,
     dump_rule,
@@ -99,6 +101,39 @@ def test_tensorized_certified_degrees():
     r6 = tensorized_gl(6)
     assert r6.npoints == 216
     assert r6.exactness_degree >= 7
+
+
+def test_certified_degrees_of_the_gauss_products():
+    # from n = 9 or 10 the certified degree runs ahead of 2n - 3 (tensorized) and 2n - 1
+    # (conical): the error just above them falls below CERTIFY_RTOL (7e-13 on x^18 for n = 10)
+    assert [tensorized_gl(n).exactness_degree for n in range(1, 13)] == [-1, 1, 3, 5, 7, 9, 11, 13, 15, 18, 21, 25]
+    assert [conical_rule(n).exactness_degree for n in range(1, 11)] == [1, 3, 5, 7, 9, 11, 13, 15, 18, 21]
+
+
+def test_gauss_table_matches_scipy():
+    # the recorded rules are scipy's; scipy.special serves only as the oracle here
+    from scipy.special import roots_jacobi, roots_legendre
+
+    table = _gauss_table()
+    assert sorted(table) == ["0", "1", "2"]
+    for alpha, rows in table.items():
+        assert len(rows) == GAUSS_MAX_N
+        for n, (x, w) in enumerate(rows, 1):
+            ref = roots_legendre(n) if alpha == "0" else roots_jacobi(n, float(alpha), 0.0)
+            for got, want in zip((x, w), ref):
+                assert len(got) == n
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=f"alpha {alpha}, n {n}")
+
+
+def test_gauss_products_refuse_n_beyond_the_table():
+    with pytest.raises(ValueError, match="tensor_gl21: n must be 1..20"):
+        tensorized_gl(GAUSS_MAX_N + 1)
+    with pytest.raises(ValueError, match="conical21: n must be 1..20"):
+        conical_rule(GAUSS_MAX_N + 1)
+    with pytest.raises(ValueError, match="tensor_gl0"):
+        tensorized_gl(0)
+    with pytest.raises(ValueError, match="degree 40 is above 39.*n <= 20"):
+        rule_for_degree(40)
 
 
 def test_conical_rule_reaches_classical_degree():
