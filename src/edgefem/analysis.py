@@ -51,6 +51,8 @@ DEFAULT_SEED = 1318
 
 CSV_HEADER = "n,h,dofs,l2_error,curl_error,hcurl_error,iters"
 
+EXACT_GAP = 1e-10       # a probe whose every gap is at most this is exact
+
 
 @dataclass(frozen=True)
 class ErrorRecord:
@@ -76,6 +78,16 @@ class RateFit:
     residual: float
 
 
+def _log_fit(xs, ys) -> RateFit:
+    """Least-squares line through (log x, log y); at least three points are required."""
+    if len(xs) < 3:
+        raise ValueError("rate fit needs at least 3 points")
+    lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
+    return RateFit(float(slope), float(intercept), len(xs), resid)
+
+
 def fit_rate(records, x_axis: str = "dofs", window: int = 0) -> RateFit:
     """Least-squares slope of log(error) against log(h) or log(dofs).
 
@@ -88,12 +100,20 @@ def fit_rate(records, x_axis: str = "dofs", window: int = 0) -> RateFit:
     ys = [r.hcurl_error for r in records]
     if window:
         xs, ys = xs[-window:], ys[-window:]
-    if len(xs) < 3:
-        raise ValueError("rate fit needs at least 3 points")
-    lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return RateFit(float(slope), float(intercept), len(xs), resid)
+    return _log_fit(xs, ys)
+
+
+def _probe_fit(levels, xs, gaps) -> RateFit | None:
+    """The log-log slope of a probe's gaps against its sizes ``xs``, or None when every gap is
+    at most EXACT_GAP: an exact probe has no rate.  A gap of 0 among larger ones is a
+    ValueError naming its level."""
+    if all(gap <= EXACT_GAP for gap in gaps):
+        return None
+    for level, gap in zip(levels, gaps):
+        if gap <= 0.0:
+            raise ValueError(f"probe gap at {level} is {gap!r} while others exceed {EXACT_GAP}: "
+                             "no rate can be fitted through it")
+    return _log_fit(xs, gaps)
 
 
 def _check_mesh_ns(mesh_ns, rate: bool):
@@ -199,7 +219,8 @@ def consistency_probe(order: int, mesh_ns, coeffs: Coefficients, config: Quadrat
     """Refinement sweep of the form-consistency gap with normalized probe fields.
 
     Returns (rows, fit) where each row is (n, h, |Phi - Phi_h|, |F - F_h|) and
-    the fit is the log-log slope of the sesquilinear gap against h.
+    the fit is the log-log slope of the sesquilinear gap against h, None when
+    every gap is at most EXACT_GAP.
     """
     _check_mesh_ns(mesh_ns, rate=True)
     builder = builder or structured_cube_mesh
@@ -210,9 +231,8 @@ def consistency_probe(order: int, mesh_ns, coeffs: Coefficients, config: Quadrat
         U, V = probe_field(space, seed + 11), probe_field(space, seed + 23)
         dphi, dload = consistency_error(space.mesh, order, coeffs, config, U, V)
         rows.append((n, space.mesh.h, dphi, dload))
-    records = [ErrorRecord(n=n, h=h, dofs=1, l2_error=max(dphi, 1e-300), curl_error=0.0)
-               for n, h, dphi, _ in rows]
-    return rows, fit_rate(records, "h")
+    ns, hs, gaps, _ = zip(*rows)
+    return rows, _probe_fit([f"n={n}" for n in ns], hs, gaps)
 
 
 # -- curved single-element probe -------------------------------------------------
@@ -308,7 +328,8 @@ def curved_probe(mode: str, order: int, m: int, below: bool = False,
     """Shrinking-family sweep of the curved local quadrature error.
 
     Returns (rows, fit): rows are (s, error); the fit is the log-log slope of
-    the error against the shrink factor s.
+    the error against the shrink factor s, None when every error is at most
+    EXACT_GAP.
     """
     degree = curved_probe_degree(mode, order, m, below)
     rule = builtin_rule("pt1_offcenter") if degree == 0 else rule_for_degree(degree)
@@ -317,5 +338,4 @@ def curved_probe(mode: str, order: int, m: int, below: bool = False,
     for s in svals:
         err = curved_local_error(shrunk_quadratic_map(s), coeff, rule, order, mode)
         rows.append((s, err))
-    records = [ErrorRecord(n=0, h=s, dofs=1, l2_error=max(e, 1e-300), curl_error=0.0) for s, e in rows]
-    return rows, fit_rate(records, "h")
+    return rows, _probe_fit([f"s={s}" for s in svals], svals, [e for _, e in rows])

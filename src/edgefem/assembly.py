@@ -273,8 +273,16 @@ def _coefficient_times(c, u):
 
 def _integrand(geo: QuadGeometry, kind: str, coeff, u, v):
     """Unscaled value of one term on ``geo``: the sum of w (coeff u) . conj v, or of
-    w coeff . conj v for 'load' (``u`` unused), from the pushed fields u, v (E, L, 3)."""
-    c = coeff(geo.points.reshape(-1, 3))
+    w coeff . conj v for 'load' (``u`` unused), from the pushed fields u, v (E, L, 3).
+
+    Scalar coefficients take the per-point dot u . conj v and then one dot with w c; a real v
+    meets the load as one real product of the row w v with c; matrices and a complex v meet
+    the weighted c u in one vdot."""
+    c, w = coeff(geo.points.reshape(-1, 3)), geo.weights.reshape(-1)
+    if c.ndim == 1:
+        return (w * c) @ np.einsum("...c,...c->...", u, v.conj()).reshape(-1)
+    if kind == "load" and not np.iscomplexobj(v):
+        return _real_times((w[:, None] * v.reshape(-1, 3)).reshape(-1), c.reshape(-1, 1))[0]
     if kind != "load":
         c = _coefficient_times(c.reshape(u.shape[:-1] + c.shape[1:]), u)
     return np.vdot(v, geo.weights[..., None] * c.reshape(v.shape))

@@ -102,6 +102,11 @@ class ExperimentConfig:
         _check_label(self.label)
 
 
+def _slope_text(fit) -> str:
+    """A probe summary's slope: 'exact' when the probe has no fit (every gap at most EXACT_GAP)."""
+    return "exact" if fit is None else f"{fit.slope:.17g}"
+
+
 @dataclass
 class ConsistencyProbe:
     """``probe`` of kind "consistency": the form-consistency gap over a refinement sweep."""
@@ -130,8 +135,7 @@ class ConsistencyProbe:
         rows, fit = consistency_probe(self.order, self.mesh_ns, self.entry.coefficients, self.rules)
         body = "".join(f"{n} {h:.17g} {dphi:.17g} {dF:.17g}\n" for n, h, dphi, dF in rows)
         _write(out_dir, f"{self.label}.dat", "n h dphi dF\n" + body)
-        exact = all(r[2] <= 1e-10 for r in rows)
-        _write(out_dir, f"{self.label}_summary.txt", "slope: exact\n" if exact else f"slope: {fit.slope:.17g}\n")
+        _write(out_dir, f"{self.label}_summary.txt", f"slope: {_slope_text(fit)}\n")
         return rows, fit
 
 
@@ -156,7 +160,7 @@ class CurvedProbe:
         rows, fit = curved_probe(self.mode, self.order, self.m, below=self.below)
         _write(out_dir, f"{self.label}.dat", "s error\n" + "".join(f"{s:.17g} {e:.17g}\n" for s, e in rows))
         _write(out_dir, f"{self.label}_summary.txt", f"mode {self.mode} order {self.order} m {self.m} "
-                                                     f"rule degree {self.degree}\nslope: {fit.slope:.17g}\n")
+                                                     f"rule degree {self.degree}\nslope: {_slope_text(fit)}\n")
         return rows, fit
 
 
@@ -384,8 +388,13 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "probe":
-        _, fit = config.run(args.out)
-        failed = config.expect_min_slope is not None and fit.slope < config.expect_min_slope
+        try:
+            _, fit = config.run(args.out)
+        except ValueError as exc:     # a zero gap among positive ones: no rate to fit
+            print(exc, file=sys.stderr)
+            return 1
+        # an exact probe (no fit) meets any minimum slope
+        failed = fit is not None and config.expect_min_slope is not None and fit.slope < config.expect_min_slope
         return 2 if args.check and failed else 0
     try:
         if args.command == "preasymptotic":

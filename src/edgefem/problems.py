@@ -68,7 +68,7 @@ def _entry(name, eps0_profile):
         e0 = eps0_profile(pts[:, 2])
         poly = (pts[:, 1] ** 2 - 1.0) * (pts[:, 2] ** 2 - 1.0)
         out = np.zeros((len(pts), 3), dtype=complex)
-        out[:, 0] = (1j / OMEGA) * (
+        out[:, 0].imag = (1.0 / OMEGA) * (       # J is purely imaginary: write only that part
             (4.0 - 2.0 * pts[:, 1] ** 2 - 2.0 * pts[:, 2] ** 2) / MU0 - OMEGA ** 2 * e0 * poly
         )
         return out

@@ -5,6 +5,7 @@ import pytest
 
 from edgefem.analysis import (
     CSV_HEADER,
+    _probe_fit,
     ErrorRecord,
     consistency_error,
     consistency_probe,
@@ -58,6 +59,14 @@ def test_fit_rate_synthetic():
         fit_rate(recs[:2], "h")
     with pytest.raises(ValueError):
         fit_rate(recs, "npoints")
+
+
+def test_probe_fit_exact_and_zero_gaps():
+    hs = [1.0, 0.5, 0.25]
+    assert _probe_fit(["n=1", "n=2", "n=4"], hs, [1e-10, 0.0, 3e-11]) is None
+    assert _probe_fit(["n=1", "n=2", "n=4"], hs, [4.0, 1.0, 0.25]).slope == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(ValueError, match="gap at n=2 is 0.0"):
+        _probe_fit(["n=1", "n=2", "n=4"], hs, [1e-3, 0.0, 1e-5])
 
 
 def test_records_to_csv_layout():

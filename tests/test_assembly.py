@@ -22,7 +22,14 @@ from edgefem.assembly import (
     evaluate_forms,
     reference_config,
 )
-from edgefem.analysis import hcurl_error, interpolate, probe_matrix_field, probe_vector_field, smooth_random_field
+from edgefem.analysis import (
+    hcurl_error,
+    interpolate,
+    probe_matrix_field,
+    probe_vector_field,
+    shrunk_quadratic_map,
+    smooth_random_field,
+)
 from edgefem.mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data, structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule, tensorized_gl
@@ -377,6 +384,39 @@ def test_scalar_coefficients_match_dense_diagonal(rng, order):
 
     for got, want in zip(outputs(scalar), outputs(dense)):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_integrand_shortcuts_match_the_general_contraction(rng, order):
+    # the scalar row dot and the real load product against the general vdot: scalar fields
+    # against the same fields as c I matrices, real dofs against the same dofs cast to complex,
+    # and a real test field on a curved element against the same field cast to complex
+    base = structured_cube_mesh(2)
+    mesh = TetMesh(base.vertices + rng.uniform(-0.1, 0.1, base.vertices.shape), base.tets)
+    mu_inv = lambda pts: 0.1 * _profile(pts)
+    eps = lambda pts: -10.0 + _profile(pts[:, ::-1])
+    current = lambda pts: probe_vector_field(pts) + 1j * probe_vector_field(pts[:, ::-1])
+    scalar = Coefficients(mu_inv=mu_inv, eps=eps, omega=1.3, current=current)
+    dense = Coefficients(mu_inv=_diagonal(mu_inv), eps=_diagonal(eps), omega=1.3, current=current)
+    n_dofs = EdgeSpace(mesh, order).n_dofs
+    real = rng.standard_normal((2, n_dofs))
+    complex_ = real + 1j * rng.standard_normal((2, n_dofs))
+
+    def close(got, want):
+        return all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
+
+    for config in (QuadratureConfig(PT4, PT5, PT15), reference_config()):
+        forms = lambda coeffs, U, V: evaluate_forms(mesh, order, coeffs, config, U, V)
+        for U, V in (real, complex_):
+            assert close(forms(scalar, U, V), forms(dense, U, V))
+        assert close(forms(scalar, *real), forms(scalar, *real.astype(complex)))
+
+    geo = QuadGeometry.curved(PT15, shrunk_quadratic_map(0.5))
+    basis = curl_basis(order)
+    v = _push(geo, "load", basis, rng.standard_normal((1, basis.n_dofs)))
+    for load in (probe_vector_field, current):
+        assert close([_integrand(geo, "load", load, None, v)],
+                     [_integrand(geo, "load", load, None, v.astype(complex))])
 
 
 def test_constant_multiple_of_identity_is_a_scalar():

@@ -107,6 +107,20 @@ def test_catalog_exact_curl_matches_fd(rng):
     assert np.abs(fd2 - entry.curl_mu_inv_curl(pts)).max() <= 1e-5
 
 
+@pytest.mark.parametrize("problem", ["cube_poly", "cube_oscillatory(10)"])
+def test_catalog_current_bits_match_its_closed_form(problem):
+    # J = (i / omega) (curl mu^-1 curl E - omega^2 eps0 E) in its first column, formed as a
+    # complex product, equals the stored current bit for bit in both parts
+    entry = catalog(problem)
+    omega = entry.coefficients.omega
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(100_000, 3))
+    want = np.zeros((len(pts), 3), dtype=complex)
+    want[:, 0] = (1j / omega) * (entry.curl_mu_inv_curl(pts)[:, 0]
+                                 - omega ** 2 * entry.eps0(pts[:, 2]) * entry.exact(pts)[:, 0])
+    got = entry.coefficients.current(pts)
+    assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
+
+
 def test_run_convergence_outputs_and_determinism(tmp_path):
     cfg = ExperimentConfig(problem="cube_poly", order=1, mesh_ns=[1, 2, 3],
                            q1="pt1_offcenter", q2="pt1_centroid", q3="pt1_centroid",
@@ -228,6 +242,18 @@ def test_main_convergence_assert_gate(tmp_path):
     cfg["expect_slope"] = None
     path.write_text(json.dumps(cfg))
     assert main(["convergence", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+def test_main_probe_assert_passes_an_exact_probe(tmp_path):
+    # the same rule on every term: every gap is 0, the summary says exact and --assert passes
+    cfg = {"kind": "consistency", "order": 1, "m": 1, "mesh_ns": [1, 2, 3], "problem": "cube_oscillatory(1)",
+           "q1": 10, "q2": 10, "q3": 10, "expect_min_slope": 0.7}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["probe", "--config", str(path), "--out", str(tmp_path), "--assert"]) == 0
+    assert (tmp_path / "probe_consistency_summary.txt").read_text() == "slope: exact\n"
+    assert all(line.split()[2:] == ["0", "0"]
+               for line in (tmp_path / "probe_consistency.dat").read_text().splitlines()[1:])
 
 
 def test_main_rejects_unknown_keys(tmp_path, capsys):
