@@ -194,18 +194,15 @@ class EdgeSpace:
 
 @dataclass
 class SparseSystem:
-    """Assembled system after PEC elimination.
+    """The assembled system after PEC elimination.
 
-    ``matrix``/``rhs`` are the reduced (free-dof) objects; ``full_matrix`` and
-    ``full_rhs`` keep the unconstrained scatter for cross-checks and form
-    evaluation.
+    ``matrix`` and ``rhs`` hold only the free dofs, numbered as in ``free_index``; no
+    unconstrained matrix is kept.  ``expand`` puts the constrained zeros back.
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     n_free: int
-    full_matrix: sp.csr_matrix
-    full_rhs: np.ndarray
     space: EdgeSpace
     free_index: np.ndarray
 
@@ -335,21 +332,23 @@ def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quadrature
     del A
     fo = (f[:, None] @ space.X)[:, 0]
 
+    # scipy stores these indices as int32 whenever they fit: build them so, and it keeps them
     nd = basis.n_dofs
-    rows = np.repeat(gdof, nd, axis=1).ravel()
-    cols = np.tile(gdof, (1, nd)).ravel()
+    index = gdof.astype(np.int64 if space.n_dofs > np.iinfo(np.int32).max else np.int32)
+    rows = np.repeat(index, nd, axis=1).ravel()
+    cols = np.tile(index, (1, nd)).ravel()
     full = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs)).tocsr()
     del K, rows, cols
-    full_rhs = np.zeros(space.n_dofs, dtype=fo.dtype)
-    np.add.at(full_rhs, gdof.ravel(), fo.ravel())
-    if not full_rhs.imag.any():       # -i omega J is real: keep the load vector in float64
-        full_rhs = full_rhs.real.copy()
+    rhs = np.zeros(space.n_dofs, dtype=fo.dtype)
+    np.add.at(rhs, index.ravel(), fo.ravel())
+    if not rhs.imag.any():            # -i omega J is real: keep the load vector in float64
+        rhs = rhs.real
 
     free = np.flatnonzero(~space.constrained)
     reduced = full[free][:, free].tocsr()
+    del full
     reduced.sum_duplicates()
-    return SparseSystem(matrix=reduced, rhs=full_rhs[free], n_free=len(free), full_matrix=full,
-                        full_rhs=full_rhs, space=space, free_index=free)
+    return SparseSystem(matrix=reduced, rhs=rhs[free], n_free=len(free), space=space, free_index=free)
 
 
 def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: QuadratureConfig,

@@ -9,7 +9,6 @@ face frames) are derived from global vertex ids, never from local order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -157,10 +156,6 @@ class TetMesh:
     @property
     def n_faces(self):
         return len(self.faces)
-
-    @cached_property
-    def volumes(self):
-        return _signed_volumes(self.vertices, self.tets)
 
 
 def _row_keys(rows, nv):

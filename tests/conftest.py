@@ -71,6 +71,13 @@ def tet_geometry(mesh, tets, rule):
     return QuadGeometry.affine(rule, *(a[tets] for a in all_affine_data(mesh)))
 
 
+def free_vectors(rng, system, count=2):
+    """Random complex full dof vectors, zero on the PEC-constrained dofs."""
+    out = np.zeros((count, system.space.n_dofs), dtype=complex)
+    out[:, system.free_index] = rng.standard_normal((count, system.n_free)) + 1j * rng.standard_normal((count, system.n_free))
+    return out
+
+
 def fd_curl(field, pts, eps=1e-5):
     """Central finite-difference curl of a vector field at (N, 3) points."""
     pts = np.atleast_2d(pts)
