@@ -19,7 +19,7 @@ from .quadrature import (
     verify_exactness,
 )
 from .reference_element import CurlBasis, curl_basis
-from .mesh import TetMesh, CurvedMap, QuadGeometry, structured_cube_mesh, read_gmsh, write_gmsh
+from .mesh import TetMesh, CurvedMap, QuadGeometry, structured_cube_mesh
 from .assembly import Coefficients, EdgeSpace, QuadratureConfig, SparseSystem, SolutionField, assemble, evaluate_forms
 from .solver import SolveReport, SolverBreakdown, solve, solve_dense
 from .analysis import ErrorRecord, RateFit, hcurl_error, fit_rate, consistency_error, curved_local_error

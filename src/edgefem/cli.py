@@ -243,6 +243,7 @@ def _sweep(config: ExperimentConfig, out_dir):
             raise RuntimeError(f"solver {why}")
         records.append(hcurl_error(fld, (entry.exact, entry.exact_curl), 2 * config.order + 6,
                                    n=n, dofs=system.n_free, iterations=report.iterations))
+        del mesh, system, fld          # free this level's space before the next one is built
     return records, [f"problem {config.problem} order {config.order}",
                      f"rules q1={rules.q1.label} q2={rules.q2.label} q3={rules.q3.label}"]
 

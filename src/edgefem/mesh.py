@@ -21,8 +21,6 @@ __all__ = [
     "CurvedMap",
     "QuadGeometry",
     "structured_cube_mesh",
-    "read_gmsh",
-    "write_gmsh",
 ]
 
 
@@ -259,88 +257,3 @@ def structured_cube_mesh(n: int) -> TetMesh:
     cells = np.stack(np.meshgrid(*(np.arange(n),) * 3, indexing="ij"), axis=-1).reshape(-1, 1, 1, 3)
     tets = (cells + steps) @ np.array([(n + 1) ** 2, n + 1, 1])      # vertex id of corner (i, j, k)
     return TetMesh(vertices, tets.reshape(-1, 4))
-
-
-# -- Gmsh MSH 2.2 ASCII ---------------------------------------------------------
-
-def write_gmsh(mesh: TetMesh, path):
-    """Write the mesh as MSH ASCII v2.2 (4-node tets, 1-based ids)."""
-    with open(path, "w") as fh:
-        fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
-        fh.write(f"$Nodes\n{mesh.n_vertices}\n")
-        for i, (x, y, z) in enumerate(mesh.vertices, start=1):
-            fh.write(f"{i} {x:.17g} {y:.17g} {z:.17g}\n")
-        fh.write("$EndNodes\n")
-        fh.write(f"$Elements\n{mesh.n_tets}\n")
-        for i, tet in enumerate(mesh.tets, start=1):
-            a, b, c, d = (tet + 1).tolist()
-            fh.write(f"{i} 4 2 0 1 {a} {b} {c} {d}\n")
-        fh.write("$EndElements\n")
-
-
-def read_gmsh(path) -> TetMesh:
-    """Read an MSH ASCII v2.2 file; elements other than 4-node tets are skipped.  Malformed
-    input raises a ValueError that names its 1-based line."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    pos = 0
-    nodes = {}
-    tets = []
-
-    def expect(header):
-        nonlocal pos
-        if pos >= len(lines) or lines[pos] != header:
-            found = lines[pos] if pos < len(lines) else "<eof>"
-            raise ValueError(f"line {pos + 1}: malformed section header: expected {header!r}, found {found!r}")
-        pos += 1
-
-    def take(what):
-        """The fields of the next line, which must hold ``what`` and not end the section."""
-        nonlocal pos
-        if pos >= len(lines) or not lines[pos] or lines[pos].startswith("$"):
-            found = lines[pos] if pos < len(lines) else "<eof>"
-            raise ValueError(f"line {pos + 1}: expected {what}, found {found!r}")
-        pos += 1
-        return lines[pos - 1].split()
-
-    expect("$MeshFormat")
-    version = take("the MSH version")[0]
-    if not version.startswith("2."):
-        raise ValueError(f"unsupported MSH version {version!r} (need ASCII v2.x)")
-    expect("$EndMeshFormat")
-
-    expect("$Nodes")
-    n_nodes = int(take("the node count")[0])
-    for i in range(n_nodes):
-        parts = take(f"node {i + 1} of {n_nodes}")
-        if len(parts) != 4:
-            raise ValueError(f"line {pos}: a node row has 4 fields (id x y z), found {len(parts)}")
-        if int(parts[0]) in nodes:
-            raise ValueError(f"line {pos}: node {parts[0]} is defined twice")
-        nodes[int(parts[0])] = [float(p) for p in parts[1:]]
-    expect("$EndNodes")
-
-    expect("$Elements")
-    n_elems = int(take("the element count")[0])
-    for i in range(n_elems):
-        parts = take(f"element {i + 1} of {n_elems}")
-        if len(parts) < 3 or len(parts) < 3 + int(parts[2]):
-            raise ValueError(f"line {pos}: an element row has an id, a type, a tag count and its tags")
-        if int(parts[1]) != 4:
-            continue
-        conn = [int(p) for p in parts[3 + int(parts[2]):]]
-        if len(conn) != 4:
-            raise ValueError(f"line {pos}: 4-node tetrahedron with wrong connectivity length")
-        for v in conn:
-            if v not in nodes:
-                raise ValueError(f"line {pos}: element {parts[0]} references undefined node {v}")
-        tets.append(conn)
-    expect("$EndElements")
-
-    if not tets:
-        raise ValueError("MSH file contains no 4-node tetrahedra")
-    ids = sorted(nodes)
-    remap = {gid: i for i, gid in enumerate(ids)}
-    vertices = np.array([nodes[g] for g in ids])
-    tet_arr = np.array([[remap[v] for v in t] for t in tets], dtype=np.int64)
-    return TetMesh(vertices, tet_arr)

@@ -44,42 +44,6 @@ LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 LOCAL_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
-# -- minimal trivariate polynomial engine (dict of exponent triples) ---------
-
-def _p_mul(p, q):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            out[e] = out.get(e, 0.0) + ca * cb
-    return out
-
-
-def _p_diff(p, axis):
-    out = {}
-    for e, c in p.items():
-        if e[axis] > 0:
-            f = list(e)
-            f[axis] -= 1
-            out[tuple(f)] = out.get(tuple(f), 0.0) + c * e[axis]
-    return out
-
-
-def _v_curl(vp):
-    # vp is a 3-list of polynomial dicts.
-    def sub(p, q):
-        out = dict(p)
-        for e, c in q.items():
-            out[e] = out.get(e, 0.0) - c
-        return out
-
-    return [
-        sub(_p_diff(vp[2], 1), _p_diff(vp[1], 2)),
-        sub(_p_diff(vp[0], 2), _p_diff(vp[2], 0)),
-        sub(_p_diff(vp[1], 0), _p_diff(vp[0], 1)),
-    ]
-
-
 def _monomials_upto(d):
     out = []
     for total in range(d + 1):
@@ -89,53 +53,49 @@ def _monomials_upto(d):
     return out
 
 
-def _coeff_vector(p, mono_index):
-    v = np.zeros(len(mono_index))
-    for e, c in p.items():
-        if c != 0.0:
-            v[mono_index[e]] = c
-    return v
-
-
 def _mono_values(monos, points):
     points = np.atleast_2d(points)
     cols = [points[:, 0] ** a * points[:, 1] ** b * points[:, 2] ** c for (a, b, c) in monos]
     return np.column_stack(cols)  # (N, n_mono)
 
 
+def _bump(e, a, by):
+    """The exponent triple ``e`` with ``e[a]`` changed by ``by``."""
+    return e[:a] + (e[a] + by,) + e[a + 1:]
+
+
 def _generators(order):
-    """Explicit spanning set for the order-k curl-conforming space."""
-    x = {(1, 0, 0): 1.0}
-    y = {(0, 1, 0): 1.0}
-    z = {(0, 0, 1): 1.0}
-    one = {(0, 0, 0): 1.0}
-    zero = {}
-
-    def times(m, vec):
-        return [_p_mul(m, comp) for comp in vec]
-
-    # Homogeneous fields with x . p = 0 (kernel of the radial component).
-    cross12 = [y, {(1, 0, 0): -1.0}, zero]   # (y, -x, 0)
-    cross13 = [z, zero, {(1, 0, 0): -1.0}]   # (z, 0, -x)
-    cross23 = [zero, z, {(0, 1, 0): -1.0}]   # (0, z, -y)
-
-    if order == 1:
-        gens = [[one, zero, zero], [zero, one, zero], [zero, zero, one],
-                cross12, cross13, cross23]
-    elif order == 2:
-        gens = []
-        for m in (one, x, y, z):
-            gens.append(times(m, [one, zero, zero]))
-            gens.append(times(m, [zero, one, zero]))
-            gens.append(times(m, [zero, zero, one]))
-        # x*c12 + ... span the 8-dimensional homogeneous part; z*c12 is the
-        # dependent member of the triple {x*c23, y*c13, z*c12} and is dropped.
-        gens += [times(x, cross12), times(x, cross13), times(x, cross23),
-                 times(y, cross12), times(y, cross13), times(y, cross23),
-                 times(z, cross13), times(z, cross23)]
-    else:
+    """Explicit spanning set for the order-k curl-conforming space, as (n, 3, n_mono) coefficients
+    on ``_monomials_upto(k)``: e_c times each monomial of degree < k, then each monomial of degree
+    k - 1 times the fields c12 = (y, -x, 0), c13 = (z, 0, -x), c23 = (0, z, -y), where x . p = 0."""
+    if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    monos = _monomials_upto(order)
+    lower = _monomials_upto(order - 1)
+    terms = [[(c, m, 1.0)] for m in lower for c in range(3)]      # (component, monomial, coefficient)
+    for m in (e for e in lower if sum(e) == order - 1):
+        for a, b in ((0, 1), (0, 2), (1, 2)):                      # m c_ab: m x_b in a, -m x_a in b
+            # z*c12 is the dependent member of the triple {x*c23, y*c13, z*c12} and is dropped.
+            if (m, a, b) != ((0, 0, 1), 0, 1):
+                terms.append([(a, _bump(m, b, 1), 1.0), (b, _bump(m, a, 1), -1.0)])
+    index = {m: i for i, m in enumerate(monos)}
+    gens = np.zeros((len(terms), 3, len(monos)))
+    for j, gen in enumerate(terms):
+        for c, m, coeff in gen:
+            gens[j, c, index[m]] = coeff
     return gens
+
+
+def _curls(coeffs, monos, curl_monos):
+    """Curls of the (n, 3, len(monos)) coefficient fields ``coeffs``, as coefficients on ``curl_monos``."""
+    index = {m: i for i, m in enumerate(curl_monos)}
+    diff = np.zeros((3, len(monos), len(curl_monos)))              # d/dx_a takes e to e[a] (e - E_a)
+    for i, e in enumerate(monos):
+        for a in range(3):
+            if e[a]:
+                diff[a, i, index[_bump(e, a, -1)]] = e[a]
+    d = np.einsum("jcm,amn->jacn", coeffs, diff)                   # d[:, a, c] = d_a g_c
+    return np.stack([d[:, 1, 2] - d[:, 2, 1], d[:, 2, 0] - d[:, 0, 2], d[:, 0, 1] - d[:, 1, 0]], axis=1)
 
 
 # -- the degrees of freedom ----------------------------------------------------
@@ -204,20 +164,11 @@ class CurlBasis:
 @lru_cache(maxsize=None)
 def curl_basis(order: int) -> CurlBasis:
     """Construct the order-1 (Whitney) or order-2 basis by dualizing generators."""
-    gens = _generators(order)
-    n = len(gens)
     value_monos = tuple(_monomials_upto(order))
     curl_monos = tuple(_monomials_upto(order - 1))
-    vidx = {m: i for i, m in enumerate(value_monos)}
-    cidx = {m: i for i, m in enumerate(curl_monos)}
-
-    gen_vals = np.zeros((n, 3, len(value_monos)))
-    gen_curls = np.zeros((n, 3, len(curl_monos)))
-    for j, g in enumerate(gens):
-        cg = _v_curl(g)
-        for comp in range(3):
-            gen_vals[j, comp] = _coeff_vector(g[comp], vidx)
-            gen_curls[j, comp] = _coeff_vector(cg[comp], cidx)
+    gen_vals = _generators(order)
+    gen_curls = _curls(gen_vals, value_monos, curl_monos)
+    n = len(gen_vals)
 
     generators = lambda pts: np.einsum("nm,jcm->njc", _mono_values(value_monos, pts), gen_vals)
     dof_mat = dof_values(generators, order, REF_VERTICES, LOCAL_EDGES, LOCAL_FACES)

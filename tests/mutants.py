@@ -1,0 +1,145 @@
+"""Mutation check: every mutant below must make its selected tests fail.
+
+Run from anywhere, with the repository's Python environment:
+
+    python tests/mutants.py
+
+Each entry is (name, file, old text, new text, test selection).  For each, the tree (``src``,
+``tests``, ``configs``, ``perfbench`` and ``pyproject.toml``) is copied to a temporary directory,
+the one occurrence of the old text in the file is replaced by the new text, and the selection runs
+there with ``pytest -x``.  A mutant is caught when pytest reports a failing test.  The exit status
+is 1 when a mutant survives, when pytest ends any other way, or when an old text does not occur
+exactly once, so a refactor that moves an invariant restates its mutant here.
+
+Only mutants that change the space, the forms, the geometry or a stated property belong here.  An
+equivalent mutant passes every test and is left out, for example:
+  * flipping the edge moment-1 weight 2s - 1 to 1 - 2s, which negates one basis function;
+  * dropping x*c23 instead of z*c12 from the order-2 generators: x*c23 - y*c13 + z*c12 = 0,
+    so the generators span the same space.
+
+The file is not collected by pytest (its name does not start with ``test_``).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "configs", "perfbench", "pyproject.toml")
+
+REF = "src/edgefem/reference_element.py"
+MESH = "src/edgefem/mesh.py"
+ASM = "src/edgefem/assembly.py"
+BASIS_TESTS = ["tests/test_reference_element.py", "tests/test_assembly.py"]
+
+MUTANTS = [
+    # -- the basis: generators, curls, dofs and orientation
+    ("curl sign flipped", REF,
+     "d[:, 1, 2] - d[:, 2, 1]", "d[:, 2, 1] - d[:, 1, 2]", BASIS_TESTS),
+    ("derivative factor e[a] replaced by 1", REF,
+     "diff[a, i, index[_bump(e, a, -1)]] = e[a]", "diff[a, i, index[_bump(e, a, -1)]] = 1.0", BASIS_TESTS),
+    ("face rule not averaged over corner orders", REF,
+     "np.concatenate([bary[:, list(p[1:])] for p in permutations(range(3))]), np.tile(weights, 6) / 6.0",
+     "bary[:, 1:], weights", ["tests/test_invariance.py", "-k", "relabelling_invariance"]),
+    ("orientation table transposed", REF,
+     "table[r] = np.linalg.inv(np.rint(C))", "table[r] = np.linalg.inv(np.rint(C)).T", BASIS_TESTS),
+    ("face frames not oriented", REF,
+     "edges, faces = ([sorted(e, key=rank.__getitem__) for e in ents] for ents in (LOCAL_EDGES, LOCAL_FACES))",
+     "edges, faces = [sorted(e, key=rank.__getitem__) for e in LOCAL_EDGES], LOCAL_FACES", BASIS_TESTS),
+    ("wrong ranking index", ASM,
+     "lehmer @ np.array([6, 2, 1, 0])", "lehmer @ np.array([6, 2, 0, 1])", ["tests/test_assembly.py"]),
+    # -- the geometry
+    ("contravariant push without 1/det J", MESH,
+     "np.swapaxes(self.jac, 2, 3) / self.det[:, :, None, None]", "np.swapaxes(self.jac, 2, 3)",
+     ["tests/test_mesh.py"]),
+    ("curved J^-1 transposed", MESH,
+     "jac[None], np.linalg.inv(jac)[None], det[None]", "jac[None], np.linalg.inv(jac).swapaxes(1, 2)[None], det[None]",
+     ["tests/test_quadrature.py", "tests/test_assembly.py", "-k", "curved"]),
+    ("curved weight without det J", MESH,
+     "(det * rule.weights)[None]", "rule.weights[None]", ["tests/test_assembly.py", "tests/test_analysis.py"]),
+    ("chunk reads another chunk's Jacobians", ASM,
+     "inv[lo:hi])\n        phys", "inv[:hi - lo])\n        phys", ["tests/test_assembly.py"]),
+    # -- the form terms
+    ("scalar coefficient branch returns u", ASM,
+     "return c[..., None] * u", "return u", ["tests/test_assembly.py"]),
+    ("scalar integrand drops c", ASM,
+     "return (w * c) @ np.einsum", "return w @ np.einsum", ["tests/test_assembly.py"]),
+    ("c*I stored as 1", ASM,
+     "val = val[0, 0]", "val = np.float64(1.0)", ["tests/test_assembly.py"]),
+    ("sign of the mass scale", ASM,
+     "coeffs.eps, -coeffs.omega ** 2)", "coeffs.eps, coeffs.omega ** 2)", ["tests/test_assembly.py"]),
+    ("conj dropped from the row dot", ASM,
+     'np.einsum("...c,...c->...", u, v.conj())', 'np.einsum("...c,...c->...", u, v)', ["tests/test_assembly.py"]),
+    ("weights dropped from the real load", ASM,
+     "_real_times((w[:, None] * v.reshape(-1, 3)).reshape(-1), c.reshape(-1, 1))",
+     "_real_times(v.reshape(-1), c.reshape(-1, 1))", ["tests/test_assembly.py"]),
+    # -- global assembly
+    ("orientation dropped from K", ASM,
+     "K = np.swapaxes(space.X, 1, 2) @ A @ space.X", "K = A", ["tests/test_assembly.py"]),
+    ("load assigned instead of accumulated", ASM,
+     "np.add.at(rhs, index.ravel(), fo.ravel())", "rhs[index.ravel()] = fo.ravel()", ["tests/test_assembly.py"]),
+    ("cols built like rows", ASM,
+     "cols = np.tile(index, (1, nd)).ravel()", "cols = np.repeat(index, nd, axis=1).ravel()",
+     ["tests/test_assembly.py"]),
+    ("int64 scatter indices", ASM,
+     "gdof.astype(np.int64 if space.n_dofs > np.iinfo(np.int32).max else np.int32)", "gdof.astype(np.int64)",
+     ["tests/test_assembly.py", "-k", "holds_only_the_reduced_system"]),
+    # -- the one space per (mesh, order), and its release
+    ("space lookup always builds", ASM,
+     "return _SPACES.get((id(mesh), order)) or _SPACES.setdefault((id(mesh), order), cls(mesh, order))",
+     "return cls(mesh, order)", ["tests/test_assembly.py", "-k", "space"]),
+    ("plain-dict space cache", ASM,
+     "_SPACES = weakref.WeakValueDictionary()", "_SPACES = {}", ["tests/test_assembly.py", "-k", "space"]),
+    ("sweep keeps the previous level", "src/edgefem/cli.py",
+     "        del mesh, system, fld", "        pass", ["tests/test_cli.py", "-k", "sweep_frees"]),
+    # -- input checks
+    ("mesh_ns accepts n < 1", "src/edgefem/analysis.py",
+     "zip([0, *mesh_ns], mesh_ns)", "zip(mesh_ns, mesh_ns[1:])", ["tests/test_cli.py"]),
+]
+
+
+def run(path, old, new, selection) -> str:
+    """'caught', 'SURVIVED' or an error, for one mutant on a fresh copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="edgefem-mutant-") as tmp:
+        for part in COPIED:
+            src, dst = ROOT / part, Path(tmp) / part
+            if src.is_dir():
+                shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(src, dst)
+        target = Path(tmp) / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            return f"ERROR: the old text occurs {text.count(old)} times in {path}"
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection],
+                              cwd=tmp, env=env, capture_output=True, text=True)
+    if proc.returncode == 1:
+        return "caught"
+    if proc.returncode == 0:
+        return "SURVIVED"
+    return f"ERROR: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
+
+
+def main() -> int:
+    bad, start = 0, time.perf_counter()
+    for name, *mutant in MUTANTS:
+        t = time.perf_counter()
+        verdict = run(*mutant)
+        bad += verdict != "caught"
+        print(f"{verdict.splitlines()[0]:>9}  {time.perf_counter() - t:5.1f} s  {name}", flush=True)
+        if "\n" in verdict:
+            print(verdict.split("\n", 1)[1])
+    print(f"{bad} of {len(MUTANTS)} mutants not caught, {time.perf_counter() - start:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgefem import cli
+from edgefem import assembly, cli
 from edgefem.analysis import consistency_probe
-from edgefem.assembly import QuadratureConfig
+from edgefem.assembly import QuadratureConfig, assemble
 from edgefem.cli import (
     ConsistencyProbe,
     CurvedProbe,
@@ -135,6 +135,20 @@ def test_run_convergence_outputs_and_determinism(tmp_path):
     assert (tmp_path / "a" / "tiny.csv").read_bytes() == (tmp_path / "b" / "tiny.csv").read_bytes()
     dat = (tmp_path / "a" / "tiny.dat").read_text()
     assert "," not in dat
+
+
+def test_sweep_frees_each_level_before_the_next(tmp_path, monkeypatch):
+    # no earlier level's EdgeSpace is alive while a level assembles
+    live = []
+
+    def counting_assemble(*args):
+        live.append(len(assembly._SPACES))
+        return assemble(*args)
+
+    monkeypatch.setattr(cli, "assemble", counting_assemble)
+    cfg = ExperimentConfig(problem="cube_poly", order=1, mesh_ns=[1, 2, 3], fit_window=3, label="tiny")
+    run_convergence(cfg, tmp_path)
+    assert live == [0, 0, 0]
 
 
 def test_run_preasymptotic_reports_plateau(tmp_path):

@@ -1,9 +1,7 @@
-import re
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from edgefem.analysis import shrunk_quadratic_map
 from edgefem.mesh import (
@@ -12,9 +10,7 @@ from edgefem.mesh import (
     TetMesh,
     _row_keys,
     all_affine_data,
-    read_gmsh,
     structured_cube_mesh,
-    write_gmsh,
 )
 from edgefem.quadrature import builtin_rule
 from edgefem.reference_element import LOCAL_EDGES, LOCAL_FACES, REF_VERTICES
@@ -137,6 +133,10 @@ def test_pushes_match_per_point_loop(rng, branch):
 
 def test_element_map_reference_tet():
     mesh = TetMesh(REF_VERTICES.copy(), np.array([[0, 1, 2, 3]]))
+    # one tet: 4 vertices, 6 edges and 4 faces, every edge and face on the boundary
+    assert (mesh.n_vertices, mesh.n_tets, mesh.n_edges, mesh.n_faces) == (4, 1, 6, 4)
+    assert np.array_equal(mesh.boundary_edges, np.arange(6))
+    assert np.array_equal(mesh.boundary_faces, np.arange(4))
     jac, origin, det, inv = all_affine_data(mesh)
     assert np.allclose(jac[0], np.eye(3))
     assert np.allclose(origin[0], 0.0)
@@ -239,98 +239,6 @@ def test_quasi_uniformity_of_structured_family():
 
     ratios = [regularity(structured_cube_mesh(n)) for n in (1, 2, 3)]
     assert max(ratios) - min(ratios) <= 1e-12
-
-
-def test_gmsh_single_reference_tet(tmp_path):
-    path = tmp_path / "ref.msh"
-    path.write_text(
-        "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
-        "$Nodes\n4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n$EndNodes\n"
-        "$Elements\n2\n1 15 2 0 1 1\n2 4 2 0 1 1 2 3 4\n$EndElements\n"
-    )
-    mesh = read_gmsh(path)
-    assert mesh.n_vertices == 4
-    assert mesh.n_tets == 1
-    assert mesh.n_edges == 6
-    assert set(mesh.boundary_edges.tolist()) == set(range(6))
-
-
-def test_gmsh_round_trip(tmp_path):
-    m = structured_cube_mesh(2)
-    path = tmp_path / "cube.msh"
-    write_gmsh(m, path)
-    m2 = read_gmsh(path)
-    assert np.array_equal(m.tets, m2.tets)
-    assert np.abs(m.vertices - m2.vertices).max() <= 1e-15
-    assert np.array_equal(m.edges, m2.edges)
-    assert np.array_equal(m.boundary_faces, m2.boundary_faces)
-
-
-@settings(max_examples=12, deadline=None)
-@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
-def test_gmsh_round_trip_relabelled_jiggled(tmp_path_factory, n, seed):
-    # %.17g writes every float exactly, so the mesh and all its topology come back equal
-    rng = np.random.default_rng(seed)
-    base = structured_cube_mesh(n)
-    perm = rng.permutation(base.n_vertices)
-    vertices = np.empty_like(base.vertices)
-    vertices[perm] = base.vertices + rng.uniform(-0.1, 0.1, base.vertices.shape) / n
-    mesh = TetMesh(vertices, perm[base.tets])
-    path = tmp_path_factory.mktemp("gmsh") / "mesh.msh"
-    write_gmsh(mesh, path)
-    back = read_gmsh(path)
-    for name in ("vertices", "tets", "edges", "faces", "tet2edge", "tet2face", "boundary_edges", "boundary_faces"):
-        assert np.array_equal(getattr(back, name), getattr(mesh, name)), name
-
-
-def test_gmsh_malformed_section(tmp_path):
-    path = tmp_path / "bad.msh"
-    path.write_text("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodez\n0\n$EndNodes\n")
-    with pytest.raises(ValueError, match=r"\$Nodes"):
-        read_gmsh(path)
-
-
-def test_gmsh_no_tets(tmp_path):
-    path = tmp_path / "empty.msh"
-    path.write_text(
-        "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
-        "$Nodes\n1\n1 0 0 0\n$EndNodes\n"
-        "$Elements\n1\n1 15 2 0 1 1\n$EndElements\n"
-    )
-    with pytest.raises(ValueError, match="no 4-node tetrahedra"):
-        read_gmsh(path)
-
-
-def test_gmsh_undefined_node(tmp_path):
-    path = tmp_path / "dangling.msh"
-    path.write_text(
-        "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
-        "$Nodes\n4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n$EndNodes\n"
-        "$Elements\n1\n7 4 2 0 1 1 2 3 9\n$EndElements\n"
-    )
-    with pytest.raises(ValueError, match="line 13: element 7 references undefined node 9"):
-        read_gmsh(path)
-
-
-HEAD = "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
-NODES = "$Nodes\n4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n$EndNodes\n"
-
-
-@pytest.mark.parametrize("text, named", [
-    (HEAD + "$Nodes\n4\n1 0 0 0\n2 1 0 0\n$EndNodes\n", "line 8: expected node 3 of 4, found '$EndNodes'"),
-    (HEAD + "$Nodes\n4\n1 0 0 0\n2 1 0 0\n", "line 8: expected node 3 of 4, found '<eof>'"),
-    (HEAD + "$Nodes\n4\n1 0 0 0\n2 1 0\n", "line 7: a node row has 4 fields (id x y z), found 3"),
-    (HEAD + "$Nodes\n5\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n2 5 5 5\n$EndNodes\n", "line 10: node 2 is defined twice"),
-    (HEAD + NODES + "$Elements\n2\n1 4 2 0 1 1 2 3 4\n2 4 9 0 1\n$EndElements\n",
-     "line 14: an element row has an id, a type, a tag count and its tags"),
-    (HEAD + NODES + "$Elements\n2\n1 4 2 0 1 1 2 3 4\n", "line 14: expected element 2 of 2, found '<eof>'"),
-], ids=["nodes-end-early", "file-ends-in-nodes", "node-row-short", "node-repeated", "element-row-short",
-        "file-ends-in-elements"])
-def test_gmsh_malformed_rows_name_their_line(tmp_path, text, named):
-    path = tmp_path / "bad.msh"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=re.escape(named)):
-        read_gmsh(path)
 
 
 def test_mesh_arrays_immutable():
