@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .mesh import QuadGeometry, TetMesh, all_affine_data
 from .quadrature import RefQuadratureRule, rule_for_degree
-from .reference_element import CurlBasis, curl_basis, orientation_table
+from .reference_element import LOCAL_EDGES, CurlBasis, curl_basis, orientation_table
 
 __all__ = [
     "MatrixField",
@@ -127,10 +127,10 @@ _SPACES = weakref.WeakValueDictionary()   # (id(mesh), order) -> a space some ca
 
 def _orientation_transforms(mesh: TetMesh, basis: CurlBasis) -> np.ndarray:
     """Per-element dof transforms X (nt, nd, nd), looked up by vertex-id ranking."""
-    rank = np.argsort(np.argsort(mesh.tets, axis=1), axis=1)
-    # position of each ranking in the lexicographic RANKINGS: its Lehmer code
-    lehmer = np.triu(rank[:, :, None] > rank[:, None, :], 1).sum(axis=2)
-    return orientation_table(basis.order)[lehmer @ np.array([6, 2, 1, 0])]
+    # position of each ranking in the lexicographic RANKINGS: its Lehmer code, which weighs
+    # each corner pair a < b whose ids are out of order by (3 - a)!
+    ids = mesh.tets.T
+    return orientation_table(basis.order)[sum((6, 2, 1)[a] * (ids[a] > ids[b]) for a, b in LOCAL_EDGES)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,8 +366,10 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
     # terms with the same rule share each chunk's geometry and pushed fields
     for rule in {id(rule): rule for _, rule, _, _ in terms}.values():
         # per point: u and v pushed both ways (12), a matrix coefficient and the temporaries
-        # of its evaluation (14), c u and w c u (6), the physical point and weight (2)
-        for lo, hi in _chunks(mesh.n_tets, 32 * rule.npoints):
+        # of its evaluation (14), c u and w c u (6), the physical point and weight (2); budgeted
+        # at 3x that, so each temporary stays below glibc's mmap threshold and is reused from
+        # the heap instead of being mapped and page-faulted afresh in every chunk
+        for lo, hi in _chunks(mesh.n_tets, 96 * rule.npoints):
             geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in space.affine))
             fields = cache(lambda curl, i: _push(geo, "curl" if curl else "mass", space.basis, local[i][lo:hi]))
             for kind, _, coeff, scale in (t for t in terms if t[1] is rule):

@@ -9,6 +9,7 @@ face frames) are derived from global vertex ids, never from local order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
@@ -99,9 +100,7 @@ class TetMesh:
         tets = np.array(self.tets, dtype=np.int64, order="C")
         if len(tets) == 0:
             raise ValueError("mesh contains no tetrahedra")
-        corners = verts[tets]
-        diam = np.sqrt(((corners[:, :, None] - corners[:, None]) ** 2).sum(-1)).max(axis=(1, 2))
-        vols = _signed_volumes(verts, tets)
+        diam, vols = _diameters_and_volumes(verts, tets)
         if np.any(np.abs(vols) <= 1e-12 * diam ** 3):
             raise ValueError("mesh contains a degenerate tetrahedron (|volume| <= 1e-12 diameter^3)")
         rows = np.flatnonzero(vols < 0.0)
@@ -117,9 +116,9 @@ class TetMesh:
         tets, nv = self.tets, self.n_vertices
         nt = len(tets)
 
-        edges, tet2edge = _unique_rows(np.sort(tets[:, LOCAL_EDGES], axis=2).reshape(-1, 2), nv)
+        edges, tet2edge = _unique_rows(_row_keys(_ordered_columns(tets, LOCAL_EDGES), nv), nv, 2)
         tet2edge = tet2edge.reshape(nt, 6)
-        faces, tet2face = _unique_rows(np.sort(tets[:, LOCAL_FACES], axis=2).reshape(-1, 3), nv)
+        faces, tet2face = _unique_rows(_row_keys(_ordered_columns(tets, LOCAL_FACES), nv), nv, 3)
         tet2face = tet2face.reshape(nt, 4)
 
         counts = np.bincount(tet2face.ravel(), minlength=len(faces))
@@ -127,9 +126,10 @@ class TetMesh:
             raise ValueError("non-manifold mesh: a face is shared by more than two tets")
         boundary_faces = np.flatnonzero(counts == 1)
 
-        bf = faces[boundary_faces]
-        bedge_rows = np.sort(bf[:, [(0, 1), (0, 2), (1, 2)]], axis=2).reshape(-1, 2)
-        boundary_edges = np.searchsorted(_row_keys(edges, nv), np.unique(_row_keys(bedge_rows, nv)))
+        # the rows of faces are ordered, so are the pairs of ids they hold
+        lo, mid, hi = faces[boundary_faces].T
+        bedge_keys = np.unique(_row_keys((np.concatenate([lo, lo, mid]), np.concatenate([mid, hi, hi])), nv))
+        boundary_edges = np.searchsorted(_row_keys(edges.T, nv), bedge_keys)
 
         for name, value in [
             ("edges", edges), ("faces", faces),
@@ -156,34 +156,63 @@ class TetMesh:
         return len(self.faces)
 
 
-def _row_keys(rows, nv):
-    """One int64 per row of vertex ids below ``nv``, increasing in the rows' lexicographic order."""
-    if nv ** rows.shape[1] - 1 > np.iinfo(np.int64).max:
-        raise ValueError(f"{nv} vertices are too many for int64 keys of {rows.shape[1]} vertex ids")
-    keys = rows[:, 0]
-    for col in rows.T[1:]:
+def _ordered_columns(tets, local):
+    """The vertex ids of every tet's ``local`` edges or faces, in increasing order within each
+    entity: the columns (min, max) or (min, sum - min - max, max), one entry per (tet, entity)."""
+    cols = [tets[:, list(c)].ravel() for c in zip(*local)]
+    lo, hi = reduce(np.minimum, cols), reduce(np.maximum, cols)
+    return (lo, hi) if len(cols) == 2 else (lo, sum(cols) - lo - hi, hi)
+
+
+def _row_keys(columns, nv):
+    """One int64 per row of vertex ids below ``nv``, given as columns, increasing in the rows'
+    lexicographic order."""
+    if nv ** len(columns) - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"{nv} vertices are too many for int64 keys of {len(columns)} vertex ids")
+    keys = columns[0]
+    for col in columns[1:]:
         keys = keys * nv + col
     return keys
 
 
-def _unique_rows(rows, nv):
-    """The distinct rows in lexicographic order, and the index of each row among them."""
-    _, first, inverse = np.unique(_row_keys(rows, nv), return_index=True, return_inverse=True)
-    return rows[first], inverse
+def _unique_rows(keys, nv, width):
+    """The distinct rows of ``width`` ids in lexicographic order, decoded from their keys,
+    and the index of each key's row among them."""
+    unique, inverse = np.unique(keys, return_inverse=True)
+    columns = []
+    for _ in range(width - 1):
+        unique, col = divmod(unique, nv)
+        columns.append(col)
+    return np.column_stack([unique, *columns[::-1]]), inverse
 
 
-def _signed_volumes(verts, tets):
-    d = verts[tets[:, 1:]] - verts[tets[:, :1]]
-    return np.linalg.det(d) / 6.0
+def _diameters_and_volumes(verts, tets):
+    """Every tet's diameter, its longest edge, and its signed volume, a triple product / 6."""
+    corners = verts[tets]                               # (nt, 4, 3)
+    tails, heads = (list(ends) for ends in zip(*LOCAL_EDGES))
+    squares = sum((x[:, heads] - x[:, tails]) ** 2 for x in np.moveaxis(corners, 2, 0))   # (nt, 6)
+    d = corners[:, 1:] - corners[:, :1]                 # the edges from corner 0
+    return np.sqrt(squares.max(axis=1)), (d[:, 0] * _cross(d[:, 1], d[:, 2])).sum(axis=1) / 6.0
+
+
+def _cross(a, b):
+    """a x b along the last axis of length 3 (np.cross without its axis handling)."""
+    a0, a1, a2 = np.moveaxis(a, -1, 0)
+    b0, b1, b2 = np.moveaxis(b, -1, 0)
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def all_affine_data(mesh: TetMesh):
-    """Vectorized Jacobian data for every element: (J, origin, det, Jinv)."""
+    """Vectorized Jacobian data for every element: (J, origin, det, Jinv).
+
+    With the edges e1, e2, e3 from corner 0 as the columns of J, det J is the triple product
+    and the rows of J^-1 are the cofactors e2 x e3, e3 x e1 and e1 x e2 over det J.
+    """
     v = mesh.vertices[mesh.tets]
-    jac = np.swapaxes(v[:, 1:] - v[:, :1], 1, 2)      # (nt, 3, 3), columns = edges
-    det = np.linalg.det(jac)
-    inv = np.linalg.inv(jac)
-    return jac, v[:, 0], det, inv
+    d = v[:, 1:] - v[:, :1]                             # (nt, 3, 3), rows = edges
+    cof = _cross(d[:, [1, 2, 0]], d[:, [2, 0, 1]])
+    det = (d[:, 0] * cof[:, 0]).sum(axis=1)
+    return np.swapaxes(d, 1, 2), v[:, 0], det, cof / det[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -207,7 +236,8 @@ class QuadGeometry:
     @classmethod
     def affine(cls, rule: RefQuadratureRule, jac, origin, det, inv) -> "QuadGeometry":
         """Straight elements, from (slices of) the arrays of :func:`all_affine_data`."""
-        points = origin[:, None, :] + rule.points @ np.swapaxes(jac, 1, 2)
+        points = rule.points @ np.swapaxes(jac, 1, 2)
+        points += origin[:, None, :]
         weights = np.abs(det)[:, None] * rule.weights[None, :]
         return cls(rule, points, weights, jac[:, None], inv[:, None], det[:, None])
 

@@ -52,8 +52,8 @@ MUTANTS = [
     ("face frames not oriented", REF,
      "edges, faces = ([sorted(e, key=rank.__getitem__) for e in ents] for ents in (LOCAL_EDGES, LOCAL_FACES))",
      "edges, faces = [sorted(e, key=rank.__getitem__) for e in LOCAL_EDGES], LOCAL_FACES", BASIS_TESTS),
-    ("wrong ranking index", ASM,
-     "lehmer @ np.array([6, 2, 1, 0])", "lehmer @ np.array([6, 2, 0, 1])", ["tests/test_assembly.py"]),
+    ("wrong Lehmer weights", ASM,
+     "sum((6, 2, 1)[a] * (ids[a] > ids[b])", "sum((6, 1, 2)[a] * (ids[a] > ids[b])", ["tests/test_assembly.py"]),
     # -- the geometry
     ("contravariant push without 1/det J", MESH,
      "np.swapaxes(self.jac, 2, 3) / self.det[:, :, None, None]", "np.swapaxes(self.jac, 2, 3)",
@@ -63,6 +63,15 @@ MUTANTS = [
      ["tests/test_quadrature.py", "tests/test_assembly.py", "-k", "curved"]),
     ("curved weight without det J", MESH,
      "(det * rule.weights)[None]", "rule.weights[None]", ["tests/test_assembly.py", "tests/test_analysis.py"]),
+    ("cofactor rows out of order", MESH,
+     "_cross(d[:, [1, 2, 0]], d[:, [2, 0, 1]])", "_cross(d[:, [1, 0, 2]], d[:, [2, 1, 0]])", ["tests/test_mesh.py"]),
+    ("diameter over 5 edges", MESH,
+     "zip(*LOCAL_EDGES))\n    squares", "zip(*LOCAL_EDGES[:5]))\n    squares", ["tests/test_mesh.py"]),
+    # -- the topology
+    ("face middle id taken as listed", MESH,
+     "(lo, sum(cols) - lo - hi, hi)", "(lo, cols[1], hi)", ["tests/test_mesh.py"]),
+    ("keys decoded in reverse", MESH,
+     "np.column_stack([unique, *columns[::-1]])", "np.column_stack([unique, *columns])", ["tests/test_mesh.py"]),
     ("chunk reads another chunk's Jacobians", ASM,
      "inv[lo:hi])\n        phys", "inv[:hi - lo])\n        phys", ["tests/test_assembly.py"]),
     # -- the form terms

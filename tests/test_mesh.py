@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -8,6 +9,7 @@ from edgefem.mesh import (
     CurvedMap,
     QuadGeometry,
     TetMesh,
+    _diameters_and_volumes,
     _row_keys,
     all_affine_data,
     structured_cube_mesh,
@@ -101,11 +103,82 @@ def test_topology_matches_row_unique_on_relabelled_mesh(rng):
         assert np.array_equal(tet2.ravel(), inverse.ravel())
 
 
+def test_non_manifold_mesh_rejected():
+    # three tets on the face (0, 1, 2): apexes above, below and off to the side
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.2, 1], [0.2, 0.2, -1], [1.5, 1.5, 0.5]])
+    tets = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
+    TetMesh(verts, tets[:2])
+    with pytest.raises(ValueError, match="non-manifold mesh: a face is shared by more than two tets"):
+        TetMesh(verts, tets)
+
+
+def _jiggled(base, rng):
+    """``base`` with its vertices relabelled and moved by up to a fifth of an edge, and each
+    tet's corners listed in a random order."""
+    perm = rng.permutation(base.n_vertices)
+    verts = base.vertices[perm] + rng.uniform(-0.2, 0.2, base.vertices.shape) * base.h / np.sqrt(3.0)
+    return TetMesh(verts, rng.permuted(np.argsort(perm)[base.tets], axis=1))
+
+
+def test_diameter_is_the_largest_corner_distance(rng):
+    # bit for bit: the largest of the 16 ordered corner-pair distances, as the longest edge
+    longest = set()
+    for mesh in (structured_cube_mesh(3), _jiggled(structured_cube_mesh(3), rng), _jiggled(structured_cube_mesh(4), rng)):
+        corners = mesh.vertices[mesh.tets]
+        distances = np.sqrt(((corners[:, :, None] - corners[:, None]) ** 2).sum(-1))
+        diam, vols = _diameters_and_volumes(mesh.vertices, mesh.tets)
+        assert np.array_equal(diam, distances.max(axis=(1, 2)))
+        assert mesh.h == diam.max()
+        assert np.array_equal(vols, volumes(mesh))
+        longest |= set(np.argmax([distances[:, a, b] for a, b in LOCAL_EDGES], axis=0).tolist())
+    assert longest == set(range(6))     # every local edge is some tet's longest
+
+
+def _sliver(rng, ratio):
+    """A tet of |volume| = ratio diameter^3: a random base triangle in a plane z = const and an
+    apex just above it, shifted off the origin."""
+    verts = np.zeros((4, 3))
+    verts[:3, :2] = rng.uniform(-1.0, 1.0, (3, 2))
+    verts[3, :2] = verts[:3, :2].mean(axis=0) + rng.uniform(-0.2, 0.2, 2)
+    diam = max(np.linalg.norm(a - b) for a in verts for b in verts)
+    twice_area = np.linalg.norm(np.cross(verts[1] - verts[0], verts[2] - verts[0]))
+    verts[3, 2] = 6.0 * ratio * diam ** 3 / twice_area
+    return verts + rng.uniform(-3.0, 3.0, 3)
+
+
+def test_closed_form_affine_data_matches_lapack(rng):
+    # random tets, and slivers at twice the degeneracy threshold |volume| = 1e-12 diameter^3
+    verts = [random_tet(rng) + rng.uniform(-5.0, 5.0, 3) for _ in range(200)]
+    verts += [_sliver(rng, 2e-12) for _ in range(50)]
+    mesh = TetMesh(np.vstack(verts), np.arange(4 * len(verts)).reshape(-1, 4))
+    jac, origin, det, inv = all_affine_data(mesh)
+    assert np.array_equal(origin, mesh.vertices[mesh.tets[:, 0]])
+    assert np.array_equal(jac, np.swapaxes(mesh.vertices[mesh.tets[:, 1:]] - origin[:, None], 1, 2))
+    assert np.all(np.abs(det - np.linalg.det(jac)) <= 1e-13 * np.abs(det))
+    scale = np.abs(inv).max(axis=(1, 2))
+    assert np.all(np.abs(inv - np.linalg.inv(jac)).max(axis=(1, 2)) <= 1e-13 * scale)
+    assert np.abs(inv @ jac - np.eye(3)).max() <= 1e-13
+
+
+def test_mesh_build_has_no_all_pairs_transient():
+    # traced peak bytes per tet while a mesh is built: 358 with the diameter from the 6 edges,
+    # 645 with a (nt, 4, 4, 3) array of all corner-pair differences
+    base = structured_cube_mesh(12)
+    verts, tets = np.array(base.vertices), np.array(base.tets)
+    tracemalloc.start()
+    try:
+        TetMesh(verts, tets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(tets) <= 450.0
+
+
 def test_row_keys_refuse_int64_overflow():
-    rows = np.array([[0, 1, 2]])
-    assert _row_keys(rows, 2 ** 21)[0] == 2 ** 21 + 2
+    columns = np.array([[0, 1, 2]]).T
+    assert _row_keys(columns, 2 ** 21)[0] == 2 ** 21 + 2
     with pytest.raises(ValueError, match="too many for int64 keys"):
-        _row_keys(rows, 2 ** 21 + 1)
+        _row_keys(columns, 2 ** 21 + 1)
 
 
 def _per_point_push(x, mats):

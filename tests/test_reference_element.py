@@ -10,6 +10,7 @@ from edgefem.mesh import QuadGeometry, TetMesh, all_affine_data
 from edgefem.reference_element import (
     LOCAL_EDGES,
     LOCAL_FACES,
+    RANKINGS,
     REF_VERTICES,
     curl_basis,
     dof_values,
@@ -160,6 +161,21 @@ def test_orientation_transforms_examples():
     mesh = TetMesh(REF_VERTICES[::-1], tet[:, ::-1])
     assert np.array_equal(mesh.tets[0], [3, 2, 1, 0])
     assert np.array_equal(_orientation_transforms(mesh, curl_basis(1))[0], -np.eye(6))
+
+
+def test_orientation_lookup_matches_argsort_ranking():
+    # one tet per vertex order: tet k's corner i has id 4 k + perm[i], on positively oriented corners
+    perms = np.array(RANKINGS)
+    tets = 4 * np.arange(len(perms))[:, None] + perms
+    verts = np.empty((tets.size, 3))
+    verts[tets.ravel()] = np.tile(REF_VERTICES, (len(perms), 1)) + np.repeat(2.0 * np.arange(len(perms)), 4)[:, None]
+    mesh = TetMesh(verts, tets)
+    assert np.array_equal(mesh.tets, tets)
+    ranks = np.argsort(np.argsort(mesh.tets, axis=1), axis=1)
+    index = np.triu(ranks[:, :, None] > ranks[:, None, :], 1).sum(axis=2) @ np.array([6, 2, 1, 0])
+    assert index.tolist() == [RANKINGS.index(tuple(r)) for r in ranks.tolist()] == list(range(24))
+    for order in (1, 2):
+        assert np.array_equal(_orientation_transforms(mesh, curl_basis(order)), orientation_table(order)[index])
 
 
 @pytest.mark.parametrize("order", [1, 2])
