@@ -19,7 +19,7 @@ from .assembly import (
     EdgeSpace,
     QuadratureConfig,
     SolutionField,
-    _chunks,
+    _geometries,
     _integrand,
     _push,
     evaluate_forms,
@@ -135,14 +135,12 @@ def records_to_csv(records) -> str:
 
 
 def _error_integrals(sol: SolutionField, exact, exact_curl, rule: RefQuadratureRule):
-    space = sol.space
     squares = [0.0, 0.0]
     # per point: values and curls (6) and the products they are pushed from (6), one exact
     # field, its difference and the weighted difference (6), the physical point and weight (2)
-    for lo, hi in _chunks(space.mesh.n_tets, 20 * rule.npoints):
-        geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in space.affine))
+    for chunk, geo in _geometries(rule, sol.space.affine, 20):
         flat = geo.points.reshape(-1, 3)
-        for i, (discrete, fn) in enumerate(zip(sol.eval_elements(geo, slice(lo, hi)), (exact, exact_curl))):
+        for i, (discrete, fn) in enumerate(zip(sol.eval_elements(geo, chunk), (exact, exact_curl))):
             diff = discrete - np.asarray(fn(flat)).reshape(discrete.shape)
             squares[i] += np.vdot(diff, geo.weights[..., None] * diff).real
     return tuple(squares)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -226,10 +226,8 @@ class SolutionField:
         return self.space.local(self.dofs)
 
     def eval_elements(self, geo: QuadGeometry, tet_indices):
-        """(values, curls) at the points of ``geo``, as (E, L, 3) arrays.
-
-        ``geo`` maps its rule to the elements ``tet_indices`` (indices or a slice).
-        """
+        """(values, curls) at the points of ``geo``, as (E, L, 3) arrays; ``geo`` maps its rule to
+        the elements ``tet_indices``, in the kernels a chunk and its geometry from :func:`_geometries`."""
         w, basis = self.local[tet_indices], self.space.basis
         return _push(geo, "mass", basis, w), _push(geo, "curl", basis, w)
 
@@ -285,34 +283,38 @@ def _integrand(geo: QuadGeometry, kind: str, coeff, u, v):
     return np.vdot(v, geo.weights[..., None] * c.reshape(v.shape))
 
 
-def _chunks(n_items, per_item_cost):
-    step = max(1, _CHUNK_BUDGET // max(per_item_cost, 1))
-    for start in range(0, n_items, step):
-        yield start, min(start + step, n_items)
+def _geometries(rule, affine, per_point):
+    """(chunk, geometry of ``rule`` on it) for consecutive runs of the elements whose (J, origin,
+    det, Jinv) are ``affine``, each at most _CHUNK_BUDGET // (per_point * npoints) long: the one
+    chunk loop of the straight-element kernels, per_point being a kernel's scratch values per point."""
+    nt, step = len(affine[0]), max(1, _CHUNK_BUDGET // (per_point * rule.npoints))
+    for lo in range(0, nt, step):
+        chunk = slice(lo, min(lo + step, nt))
+        yield chunk, QuadGeometry.affine(rule, *(a[chunk] for a in affine))
 
 
 def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, scale):
     """Element blocks of one form term for all elements, times ``scale``, in the dtype
     the coefficient and scale give; orientation not applied.  kind is 'curl', 'mass' or 'load'.
     """
-    nt, nd, npts = mesh.n_tets, basis.n_dofs, rule.npoints
+    nd, npts = basis.n_dofs, rule.npoints
     out = None
-    # per element and pushed table entry: the table and its transpose (half each, being real),
+    # per point and pushed table entry: the table and its transpose (half each, being real),
     # c u with the temporaries that form it, and its transpose
-    for lo, hi in _chunks(nt, 5 * npts * nd * 3):
-        geo = QuadGeometry.affine(rule, jac[lo:hi], origin[lo:hi], det[lo:hi], inv[lo:hi])
+    for chunk, geo in _geometries(rule, (jac, origin, det, inv), 5 * nd * 3):
         phys = _push(geo, kind, basis)                                  # (E, L, nd, 3)
+        ne = len(phys)
         c = coeff_field(geo.points.reshape(-1, 3))                      # (N,), (N, 3) or (N, 3, 3)
         w = (scale * geo.weights).reshape(phys.shape[:2] + (1,) * (c.ndim - 1))
         coeff = w * c.reshape(phys.shape[:2] + c.shape[1:])
-        rows = phys.transpose(0, 2, 1, 3).reshape(hi - lo, nd, 3 * npts)
+        rows = phys.transpose(0, 2, 1, 3).reshape(ne, nd, 3 * npts)
         if kind == "load":
-            block = _real_times(rows, coeff.reshape(hi - lo, 3 * npts, 1))[:, :, 0]
+            block = _real_times(rows, coeff.reshape(ne, 3 * npts, 1))[:, :, 0]
         else:
             cu = _coefficient_times(coeff[:, :, None], phys)            # (E, L, nd, 3)
-            block = _real_times(rows, cu.transpose(0, 1, 3, 2).reshape(hi - lo, 3 * npts, nd))
-        out = np.empty((nt,) + block.shape[1:], block.dtype) if out is None else out
-        out[lo:hi] = block
+            block = _real_times(rows, cu.transpose(0, 1, 3, 2).reshape(ne, 3 * npts, nd))
+        out = np.empty((mesh.n_tets,) + block.shape[1:], block.dtype) if out is None else out
+        out[chunk] = block
     return out
 
 
@@ -359,25 +361,19 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
     :func:`reference_config` gives the high-degree 'exact' reference values.
     """
     space = EdgeSpace.of(mesh, order)
-    local = [space.local(dofs) for dofs in (U_dofs, V_dofs)]
+    U, V = (SolutionField(space, dofs) for dofs in (U_dofs, V_dofs))
     terms = _terms(coeffs, config)
 
-    phi = load = 0.0 + 0.0j
+    forms = [0j, 0j]                  # Phi, F
     # terms with the same rule share each chunk's geometry and pushed fields
     for rule in {id(rule): rule for _, rule, _, _ in terms}.values():
         # per point: u and v pushed both ways (12), a matrix coefficient and the temporaries
         # of its evaluation (14), c u and w c u (6), the physical point and weight (2); budgeted
         # at 3x that, so each temporary stays below glibc's mmap threshold and is reused from
         # the heap instead of being mapped and page-faulted afresh in every chunk
-        for lo, hi in _chunks(mesh.n_tets, 96 * rule.npoints):
-            geo = QuadGeometry.affine(rule, *(a[lo:hi] for a in space.affine))
-            fields = cache(lambda curl, i: _push(geo, "curl" if curl else "mass", space.basis, local[i][lo:hi]))
+        for chunk, geo in _geometries(rule, space.affine, 96):
+            (u, curl_u), (v, curl_v) = U.eval_elements(geo, chunk), V.eval_elements(geo, chunk)
             for kind, _, coeff, scale in (t for t in terms if t[1] is rule):
-                curl = kind == "curl"
-                u = None if kind == "load" else fields(curl, 0)
-                value = scale * _integrand(geo, kind, coeff, u, fields(curl, 1))
-                if kind == "load":
-                    load += value
-                else:
-                    phi += value
-    return complex(phi), complex(load)
+                pair = (curl_u, curl_v) if kind == "curl" else (u, v)
+                forms[kind == "load"] += scale * _integrand(geo, kind, coeff, *pair)
+    return complex(forms[0]), complex(forms[1])

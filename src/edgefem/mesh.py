@@ -235,7 +235,8 @@ class QuadGeometry:
 
     @classmethod
     def affine(cls, rule: RefQuadratureRule, jac, origin, det, inv) -> "QuadGeometry":
-        """Straight elements, from (slices of) the arrays of :func:`all_affine_data`."""
+        """Straight elements, from slices of the arrays of :func:`all_affine_data`; in the kernels
+        its one caller is ``assembly._geometries``, the chunk loop over a space's elements."""
         points = rule.points @ np.swapaxes(jac, 1, 2)
         points += origin[:, None, :]
         weights = np.abs(det)[:, None] * rule.weights[None, :]

@@ -2,8 +2,8 @@
 
 The reference tetrahedron is ``K = conv{0, e1, e2, e3}`` (volume 1/6).  Every
 rule carries a *certified* exactness degree: the largest total polynomial
-degree that the rule integrates exactly, established at construction time by
-checking all monomials against the closed-form simplex integrals
+degree up to which every monomial passes CERTIFY_RTOL, checked at construction
+time against the closed-form simplex integrals
 
     int_K x^a y^b z^c dV = a! b! c! / (a+b+c+3)!
 
@@ -41,7 +41,7 @@ __all__ = [
     "dump_rule",
 ]
 
-#: Relative tolerance for exactness certification.
+#: Certification tolerance on the error over max(1, |exact|): absolute, as every |exact| <= 1/6.
 CERTIFY_RTOL = 1e-12
 
 #: Largest number of points of a recorded one-dimensional Gauss rule.
@@ -55,7 +55,9 @@ BUILTIN_LABELS = ("pt1_offcenter", "pt1_centroid", "pt4", "pt5", "pt15", "high")
 class RefQuadratureRule:
     """Points and weights on the reference tetrahedron.
 
-    ``exactness_degree`` is certified, not merely claimed.  The degenerate
+    ``exactness_degree`` is certified: every monomial up to it passes CERTIFY_RTOL.  For rules of
+    many points that is not exactness: ``tensorized_gl(10)`` is certified at 18 and
+    ``conical_rule(10)`` at 21, degrees at which they are not exact.  The degenerate
     value -1 marks a rule that does not even integrate constants (the sum of
     its weights differs from 1/6); such rules can arise from the raw
     tensorized construction and are kept for inspection but rejected by

@@ -1,23 +1,49 @@
-"""Relabelling invariance: no result may depend on the global vertex numbering.
+"""Invariance oracles: no result may depend on the vertex numbering or on where the mesh sits.
 
 Relabelling the vertices flips edge directions and face frames, so it runs
 every orientation transform and every element map through a different code
 path while the discrete problem stays the same up to a signed permutation of
 the dofs.  The oracle is the native numbering itself, independent of how the
 geometry and orientation code is written.
+
+A similarity motion x -> s Q x + t (Q a proper rotation, s > 0) with the same
+tets and dof vectors, and the coefficients moved with it (mu^-1' = s Q mu^-1 Q^T,
+eps' = Q eps Q^T / s and J' = Q J / s^2, each read at the back-mapped point),
+leaves both forms and the assembled system unchanged and scales the squared L2
+and curl errors by s and 1/s.  Every other test mesh is the Kuhn cube, whose
+Jacobians have entries in {0, +-h}; the moved mesh runs full 3x3 Jacobians through
+the element geometry and both Piola pushes.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgefem.analysis import consistency_error, hcurl_error, probe_field
-from edgefem.assembly import EdgeSpace, QuadratureConfig, assemble, evaluate_forms
-from edgefem.mesh import TetMesh, structured_cube_mesh
+from edgefem.analysis import (
+    consistency_error,
+    hcurl_error,
+    probe_field,
+    probe_matrix_field,
+    probe_vector_field,
+    shrunk_quadratic_map,
+)
+from edgefem.assembly import (
+    Coefficients,
+    EdgeSpace,
+    QuadratureConfig,
+    SolutionField,
+    _integrand,
+    _push,
+    assemble,
+    evaluate_forms,
+)
+from edgefem.mesh import CurvedMap, QuadGeometry, TetMesh, structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule
+from edgefem.reference_element import curl_basis
 from edgefem.solver import solve_dense
 
 BASE = structured_cube_mesh(2)
@@ -76,3 +102,128 @@ def test_forms_rotate_with_the_phase_of_the_trial_field(order):
     phi_rot, load_rot = evaluate_forms(BASE, order, coeffs, RULES[order], np.exp(0.7j) * U, V)
     assert abs(phi_rot - np.exp(0.7j) * phi) <= 1e-13 * abs(phi)
     assert load_rot == load
+
+
+# -- similarity motions ------------------------------------------------------------
+
+MOVED_BASE = structured_cube_mesh(3)
+MOTION_RULES = {
+    1: QuadratureConfig(builtin_rule("pt1_offcenter"), builtin_rule("pt1_centroid"), builtin_rule("pt4")),
+    2: QuadratureConfig(builtin_rule("pt5"), builtin_rule("pt5"), builtin_rule("pt15")),
+}
+COEFFICIENTS = {
+    # full symmetric matrices and a complex current: the general contractions
+    "matrix": Coefficients(probe_matrix_field, probe_matrix_field, 1.3, lambda pts: 1j * probe_vector_field(pts)),
+    # the catalog's scalar mu^-1 and eps and its imaginary current: the scalar shortcuts
+    "catalog": catalog("cube_oscillatory(1)").coefficients,
+}
+
+
+def rotation(a, b, c):
+    """Rz(a) Ry(b) Rz(c), a proper rotation."""
+    def rz(x):
+        return np.array([[np.cos(x), -np.sin(x), 0.0], [np.sin(x), np.cos(x), 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[np.cos(b), 0.0, np.sin(b)], [0.0, 1.0, 0.0], [-np.sin(b), 0.0, np.cos(b)]])
+    return rz(a) @ ry @ rz(c)
+
+
+@dataclass(frozen=True)
+class Motion:
+    """x -> s Q x + t on (N, 3) points."""
+
+    Q: np.ndarray
+    s: float
+    t: np.ndarray
+
+    def __call__(self, x):
+        return self.s * x @ self.Q.T + self.t
+
+    def back(self, y):
+        return (y - self.t) @ self.Q / self.s
+
+    def vectors(self, fn, power):
+        """The vector field y -> Q fn(back(y)) / s^power."""
+        return lambda y: fn(self.back(y)) @ self.Q.T / self.s ** power
+
+    def coefficients(self, coeffs):
+        """The coefficients moved with the mesh, each read at the back-mapped point."""
+        def matrices(fld, factor):
+            def moved(y):
+                c = fld(self.back(y))
+                if c.ndim == 1:                 # a multiple of I stays one
+                    return factor * c
+                c = factor * self.Q @ c @ self.Q.T
+                return (c + np.swapaxes(c, 1, 2)) / 2.0
+            return moved
+        return Coefficients(matrices(coeffs.mu_inv, self.s), matrices(coeffs.eps, 1.0 / self.s),
+                            coeffs.omega, self.vectors(coeffs.current, 2))
+
+
+ANGLE = st.floats(0.0, 2.0 * np.pi)
+MOTIONS = st.builds(Motion, st.tuples(ANGLE, ANGLE, ANGLE).map(lambda a: rotation(*a)), st.floats(0.25, 4.0),
+                    st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(np.array))
+
+
+def close(a, b, scale):
+    return np.abs(np.asarray(a) - np.asarray(b)).max() <= 1e-13 * np.abs(scale).max()
+
+
+@lru_cache(maxsize=None)
+def unmoved(order, name):
+    """The dof vectors, forms, reduced system and errors on the unmoved mesh."""
+    coeffs = COEFFICIENTS[name]
+    system = assemble(MOVED_BASE, order, coeffs, MOTION_RULES[order])
+    U, V = probe_field(system.space, 11), probe_field(system.space, 23)
+    forms = evaluate_forms(MOVED_BASE, order, coeffs, MOTION_RULES[order], U, V)
+    entry = catalog("cube_oscillatory(1)")
+    rec = hcurl_error(SolutionField(system.space, U), (entry.exact, entry.exact_curl), 2 * order + 4)
+    return U, V, forms, system, rec
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENTS))
+@pytest.mark.parametrize("order", [1, 2])
+@settings(max_examples=8, deadline=None)
+@given(motion=MOTIONS)
+def test_similarity_motion_invariance(order, name, motion):
+    U, V, forms, system, rec = unmoved(order, name)
+    mesh = TetMesh(motion(MOVED_BASE.vertices), MOVED_BASE.tets)
+    coeffs = motion.coefficients(COEFFICIENTS[name])
+
+    moved_forms = evaluate_forms(mesh, order, coeffs, MOTION_RULES[order], U, V)
+    for value, moved_value in zip(forms, moved_forms):
+        assert abs(value) > 0.0 and close(moved_value, value, value)
+
+    moved_system = assemble(mesh, order, coeffs, MOTION_RULES[order])
+    A, B = system.matrix, moved_system.matrix
+    assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+    assert close(B.data, A.data, A.data)
+    assert close(moved_system.rhs, system.rhs, system.rhs)
+
+    entry = catalog("cube_oscillatory(1)")
+    pair = (motion.vectors(entry.exact, 1), motion.vectors(entry.exact_curl, 2))
+    moved_rec = hcurl_error(SolutionField(moved_system.space, U), pair, 2 * order + 4)
+    assert close(moved_rec.l2_error ** 2, motion.s * rec.l2_error ** 2, motion.s * rec.l2_error ** 2)
+    assert close(moved_rec.curl_error ** 2, rec.curl_error ** 2 / motion.s, rec.curl_error ** 2 / motion.s)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(motion=MOTIONS)
+def test_similarity_motion_leaves_the_curved_integrand_unchanged(order, motion):
+    # the same motion of a quadratic element's control net moves its map, J' = s Q J at every point
+    cmap = shrunk_quadratic_map(0.5)
+    moved_map = CurvedMap(motion(cmap.control_points))
+    coeffs = COEFFICIENTS["matrix"]
+    moved = motion.coefficients(coeffs)
+    basis, rule = curl_basis(order), builtin_rule("pt15")
+    u = (np.cos(1.0 + np.arange(basis.n_dofs)) + 0.5j * np.sin(np.arange(basis.n_dofs)))[None]
+    v = np.sin(2.0 + 0.7 * np.arange(basis.n_dofs))[None]
+
+    def value(cm, kind, coeff):
+        geo = QuadGeometry.curved(rule, cm)
+        return _integrand(geo, kind, coeff, _push(geo, kind, basis, u), _push(geo, kind, basis, v))
+
+    for kind, fld, moved_fld in (("curl", coeffs.mu_inv, moved.mu_inv), ("mass", coeffs.eps, moved.eps),
+                                 ("load", coeffs.current, moved.current)):
+        before, after = value(cmap, kind, fld), value(moved_map, kind, moved_fld)
+        assert abs(before) > 0.0 and close(after, before, before)
