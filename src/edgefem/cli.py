@@ -17,8 +17,6 @@ import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import (
     _check_mesh_ns,
     consistency_probe,
@@ -35,6 +33,7 @@ from .quadrature import (
     BUILTIN_LABELS,
     RefQuadratureRule,
     builtin_rule,
+    parse_rule_dump,
     rule_for_degree,
     tensorized_gl,
     verify_exactness,
@@ -276,51 +275,16 @@ def run_preasymptotic(config: ExperimentConfig, out_dir):
     return records, exit_idx
 
 
-def _dump_fields(no, parts, kinds, expected):
-    """The fields of one rules-file line, converted by ``kinds``; ValueError naming the line."""
-    try:
-        if len(parts) != len(kinds):
-            raise ValueError
-        return [kind(t) for kind, t in zip(kinds, parts)]
-    except ValueError:
-        raise ValueError(f"rules file line {no}: expected '{expected}', got {' '.join(parts)!r}") from None
-
-
-def _parse_rule_dump(text: str):
-    """Rules of a dump: a line ``label degree npoints``, then ``npoints`` lines ``x y z w``.
-
-    Raises ValueError naming the line of a malformed header or point row, or of a rule
-    whose points the file ends before.
-    """
-    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    rules = []
-    pos = 0
-    while pos < len(lines):
-        no, parts = lines[pos]
-        label, degree, npts = _dump_fields(no, parts, (str, int, int), "label degree npoints")
-        rows = lines[pos + 1: pos + 1 + npts]
-        if npts < 1 or len(rows) < npts:
-            raise ValueError(f"rules file line {no}: rule {label!r} has {npts} points, {len(rows)} follow")
-        values = np.array([_dump_fields(row_no, row, (float,) * 4, "x y z w") for row_no, row in rows])
-        rules.append((label, degree, values[:, :3], values[:, 3]))
-        pos += 1 + npts
-    return rules
-
-
 def run_quadcheck(out_dir=None, custom_rules_path=None):
-    """Certify every built-in rule at its declared degree and declared+1.
-
-    Tensorized rules keep whatever degree their construction certified, so
-    only tightness is re-checked for them.  Any failure is fatal.
+    """Check that every built-in rule and tensorized_gl(2..4) passes at its certified degree
+    and fails at one above it, then that each rule of the dump at ``custom_rules_path`` passes
+    at its declared degree.  Any failure is fatal.
     """
     lines = []
     ok = True
     to_check = [builtin_rule(lbl) for lbl in BUILTIN_LABELS]
     to_check += [tensorized_gl(n) for n in (2, 3, 4)]
     for rule in to_check:
-        if rule.exactness_degree < 0:
-            lines.append(f"{rule.label}: degenerate (degree {rule.exactness_degree}), skipped")
-            continue
         at = verify_exactness(rule, rule.exactness_degree)
         above = verify_exactness(rule, rule.exactness_degree + 1)
         good = at.ok and not above.ok
@@ -331,8 +295,7 @@ def run_quadcheck(out_dir=None, custom_rules_path=None):
             f"worst_above={above.worst_monomial} err={above.worst_error:.3e}"
         )
     if custom_rules_path is not None:
-        text = Path(custom_rules_path).read_text()
-        customs = _parse_rule_dump(text)
+        customs = parse_rule_dump(Path(custom_rules_path).read_text())
         if not customs:
             lines.append("builtin only")
         for label, degree, pts, wts in customs:

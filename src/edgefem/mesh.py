@@ -15,7 +15,7 @@ from itertools import permutations
 import numpy as np
 
 from .quadrature import RefQuadratureRule
-from .reference_element import LOCAL_EDGES, LOCAL_FACES
+from .reference_element import LOCAL_EDGES, LOCAL_FACES, _monomials_upto
 
 __all__ = [
     "TetMesh",
@@ -52,15 +52,6 @@ def _q2_shape_grad(pts):
     return out
 
 
-def _lattice_points(degree):
-    pts = []
-    for i in range(degree + 1):
-        for j in range(degree + 1 - i):
-            for k in range(degree + 1 - i - j):
-                pts.append((i / degree, j / degree, k / degree))
-    return np.array(pts)
-
-
 @dataclass(frozen=True)
 class CurvedMap:
     """Degree-2 Lagrange map from the reference tet (10 control points)."""
@@ -72,7 +63,7 @@ class CurvedMap:
         if cp.shape != (_Q2_NODES, 3):
             raise ValueError("curved maps are degree 2 with 10 control points")
         object.__setattr__(self, "control_points", cp)
-        sample = np.vstack([_lattice_points(3), [[0.25, 0.25, 0.25]]])
+        sample = np.vstack([np.array(_monomials_upto(3)) / 3.0, [[0.25, 0.25, 0.25]]])   # step-1/3 lattice, centroid
         if np.any(self.det_at(sample) <= 0.0):
             raise ValueError("curved map has non-positive Jacobian on the sampling grid")
 
@@ -277,14 +268,13 @@ def structured_cube_mesh(n: int) -> TetMesh:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    coords = np.linspace(-1.0, 1.0, n + 1)
-    X, Y, Z = np.meshgrid(coords, coords, coords, indexing="ij")
-    vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+    ijk = np.indices((n + 1,) * 3).reshape(3, -1).T             # vertex id i (n+1)^2 + j (n+1) + k
+    vertices = np.linspace(-1.0, 1.0, n + 1)[ijk]
 
     # (6, 4, 3) corner offsets of the six chains, then the (n^3, 6, 4, 3) corners of every cell's chains
     unit = np.eye(3, dtype=np.int64)
     steps = np.array([[0 * unit[a], unit[a], unit[a] + unit[b], unit[a] + unit[b] + unit[c]]
                       for a, b, c in permutations((0, 1, 2))])
-    cells = np.stack(np.meshgrid(*(np.arange(n),) * 3, indexing="ij"), axis=-1).reshape(-1, 1, 1, 3)
+    cells = np.indices((n,) * 3).reshape(3, -1).T.reshape(-1, 1, 1, 3)
     tets = (cells + steps) @ np.array([(n + 1) ** 2, n + 1, 1])      # vertex id of corner (i, j, k)
     return TetMesh(vertices, tets.reshape(-1, 4))

@@ -7,10 +7,12 @@ time against the closed-form simplex integrals
 
     int_K x^a y^b z^c dV = a! b! c! / (a+b+c+3)!
 
-Tabulated rules whose certification disagrees with their declared degree
-refuse to construct; empirically built rules (tensorized Gauss rules pushed
-through the collapsed-coordinate map) are certified by increasing the probe
-degree until a monomial fails.
+The tabulated rules live in one ordered table of declared degrees, cheapest
+first; a rule whose certification disagrees with its declared degree refuses
+to construct.  The Gauss products are built by one collapsed product, which
+also gives the face rule of the reference element, and are certified by
+increasing the probe degree until a monomial fails.  :func:`dump_rule` writes
+the plain-text rule dump and :func:`parse_rule_dump` reads it.
 
 The one-dimensional Gauss rules behind the collapsed products are read from
 ``gauss_rules.json``: scipy 1.17.1's ``roots_legendre(n)`` and
@@ -39,6 +41,7 @@ __all__ = [
     "conical_rule",
     "verify_exactness",
     "dump_rule",
+    "parse_rule_dump",
 ]
 
 #: Certification tolerance on the error over max(1, |exact|): absolute, as every |exact| <= 1/6.
@@ -94,7 +97,6 @@ class RefQuadratureRule:
 @dataclass(frozen=True)
 class VerifyReport:
     ok: bool
-    degree: int
     worst_monomial: tuple
     worst_error: float
 
@@ -156,7 +158,7 @@ def verify_exactness(rule: RefQuadratureRule, d: int) -> VerifyReport:
         if err[i] > worst_err:
             worst_err = float(err[i])
             worst = tuple(abc[i].tolist())
-    return VerifyReport(ok=worst_err <= CERTIFY_RTOL, degree=d, worst_monomial=worst, worst_error=worst_err)
+    return VerifyReport(ok=worst_err <= CERTIFY_RTOL, worst_monomial=worst, worst_error=worst_err)
 
 
 def _certify(points, weights, max_degree: int = 40) -> int:
@@ -168,18 +170,6 @@ def _certify(points, weights, max_degree: int = 40) -> int:
             break
         degree = d
     return degree
-
-
-def _make_certified(points, weights, declared: int, label: str) -> RefQuadratureRule:
-    """Construct a rule from a table, aborting unless certification is tight."""
-    points = np.asarray(points, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    actual = _certify(points, weights, max_degree=declared + 1)
-    if actual != declared:
-        raise RuntimeError(
-            f"rule '{label}' certified at degree {actual}, declared {declared}; table rejected"
-        )
-    return RefQuadratureRule(points, weights, declared, label)
 
 
 # ----------------------------------------------------------------------------
@@ -265,6 +255,55 @@ def _keast24_table():
     return pts, wts
 
 
+#: The tabulated rules, cheapest first: label -> (table, declared degree), where the table is a
+#: function returning the points and weights.  keast14 and keast24 serve only :func:`rule_for_degree`;
+#: "high" is the 64-point conical product, relabelled.
+_RULES = {
+    "pt1_offcenter": (lambda: ([[0.3, 0.3, 0.2]], [1.0 / 6.0]), 0),   # off the centroid, for degraded rates
+    "pt1_centroid": (lambda: ([[0.25, 0.25, 0.25]], [1.0 / 6.0]), 1),
+    "pt4": (_pt4_table, 2),
+    "pt5": (_pt5_table, 3),
+    "keast14": (_keast14_table, 4),
+    "pt15": (_pt15_table, 5),
+    "keast24": (_keast24_table, 6),
+    "high": (lambda: (conical_rule(4).points, conical_rule(4).weights), 7),
+}
+
+
+@lru_cache(maxsize=None)
+def _tabulated(label: str) -> RefQuadratureRule:
+    """The rule ``label`` of the table, refused unless it certifies at exactly its declared degree."""
+    table, declared = _RULES[label]
+    points, weights = (np.asarray(a, dtype=float) for a in table())
+    actual = _certify(points, weights, max_degree=declared + 1)
+    if actual != declared:
+        raise RuntimeError(
+            f"rule '{label}' certified at degree {actual}, declared {declared}; table rejected"
+        )
+    return RefQuadratureRule(points, weights, declared, label)
+
+
+def builtin_rule(label: str) -> RefQuadratureRule:
+    """Return a named built-in rule with its certified exactness degree."""
+    if label not in BUILTIN_LABELS:
+        raise KeyError(f"unknown quadrature label {label!r}; known: {BUILTIN_LABELS}")
+    return _tabulated(label)
+
+
+def rule_for_degree(d: int) -> RefQuadratureRule:
+    """Cheapest table rule certified to degree >= d, else the conical product that reaches d.
+    pt1_offcenter is never chosen: its point is off the centroid on purpose."""
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    if d > 2 * GAUSS_MAX_N - 1:
+        raise ValueError(f"degree {d} is above {2 * GAUSS_MAX_N - 1}, the highest that conical rules "
+                         f"of n <= {GAUSS_MAX_N} Gauss points reach")
+    for label, (_, declared) in _RULES.items():
+        if label != "pt1_offcenter" and declared >= d:
+            return _tabulated(label)
+    return conical_rule((d + 2) // 2)
+
+
 @lru_cache(maxsize=None)
 def _gauss_table():
     return json.loads(Path(__file__).with_name("gauss_rules.json").read_text())["rules"]
@@ -277,17 +316,23 @@ def _gauss01(n, alpha=0):
     return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
 
 
-def _check_points(n, label):
+def _collapsed(n, alphas, label):
+    """The collapsed Gauss product of n^d points on the unit d-simplex, d = len(alphas): points
+    (n^d, d) and weights (n^d,).
+
+    Axis i carries the n-point Gauss-Jacobi rule of weight (1 - u_i)^alphas[i] on [0, 1].  The
+    collapsed map x_i = u_i (1 - u_0) ... (1 - u_{i-1}) from the unit cube has the Jacobian
+    prod_i (1 - u_i)^(d-1-i); the weights carry the part the Jacobi weights do not absorb.
+    """
     if not 1 <= n <= GAUSS_MAX_N:
         raise ValueError(f"{label}: n must be 1..{GAUSS_MAX_N}, the Gauss rules recorded in gauss_rules.json")
-
-
-def _duffy_points(u, v, w):
-    """Collapsed-coordinate map from the unit cube to the reference tet."""
-    x = u
-    y = v * (1.0 - u)
-    z = w * (1.0 - u) * (1.0 - v)
-    return np.column_stack([x, y, z])
+    d = len(alphas)
+    rules = [_gauss01(n, a) for a in alphas]
+    u = [g.ravel() for g in np.meshgrid(*(x for x, _ in rules), indexing="ij")]
+    points = [math.prod((1.0 - v for v in u[:i]), start=ui) for i, ui in enumerate(u)]
+    jac = math.prod((1.0 - ui) ** (d - 1 - i - a) for i, (ui, a) in enumerate(zip(u, alphas)))
+    weights = math.prod(np.meshgrid(*(w for _, w in rules), indexing="ij")).ravel()
+    return np.column_stack(points), weights * jac
 
 
 @lru_cache(maxsize=None)
@@ -300,18 +345,8 @@ def tensorized_gl(n: int) -> RefQuadratureRule:
     pulled-back integrand, so the certified degree is 2n-3 in practice
     (and -1 for n=1, whose single weight is 1/8 rather than 1/6).
     """
-    _check_points(n, f"tensor_gl{n}")
-    xu, wu = _gauss01(n)
-    xv, wv = _gauss01(n)
-    xw, ww = _gauss01(n)
-    U, V, W = np.meshgrid(xu, xv, xw, indexing="ij")
-    WU, WV, WW = np.meshgrid(wu, wv, ww, indexing="ij")
-    u, v, w = U.ravel(), V.ravel(), W.ravel()
-    jac = (1.0 - u) ** 2 * (1.0 - v)
-    weights = (WU * WV * WW).ravel() * jac
-    points = _duffy_points(u, v, w)
-    degree = _certify(points, weights, max_degree=2 * n + 2)
-    return RefQuadratureRule(points, weights, degree, f"tensor_gl{n}")
+    points, weights = _collapsed(n, (0, 0, 0), f"tensor_gl{n}")
+    return RefQuadratureRule(points, weights, _certify(points, weights, max_degree=2 * n + 2), f"tensor_gl{n}")
 
 
 @lru_cache(maxsize=None)
@@ -321,71 +356,11 @@ def conical_rule(n: int) -> RefQuadratureRule:
     The collapsed-map Jacobian is absorbed into Gauss-Jacobi weights on the
     first two axes, so the classical 2n-1 exactness survives the map.
     """
-    _check_points(n, f"conical{n}")
-    xu, wu = _gauss01(n, 2)
-    xv, wv = _gauss01(n, 1)
-    xw, ww = _gauss01(n)
-    U, V, W = np.meshgrid(xu, xv, xw, indexing="ij")
-    WU, WV, WW = np.meshgrid(wu, wv, ww, indexing="ij")
-    u, v, w = U.ravel(), V.ravel(), W.ravel()
-    weights = (WU * WV * WW).ravel()
-    points = _duffy_points(u, v, w)
+    points, weights = _collapsed(n, (2, 1, 0), f"conical{n}")
     degree = _certify(points, weights, max_degree=2 * n + 1)
     if degree < 2 * n - 1:
         raise RuntimeError(f"conical rule n={n} certified below 2n-1")
     return RefQuadratureRule(points, weights, degree, f"conical{n}")
-
-
-@lru_cache(maxsize=None)
-def builtin_rule(label: str) -> RefQuadratureRule:
-    """Return a named built-in rule with its certified exactness degree."""
-    if label == "pt1_centroid":
-        return _make_certified([[0.25, 0.25, 0.25]], [1.0 / 6.0], 1, label)
-    if label == "pt1_offcenter":
-        # Fixed non-centroid interior point so degraded-rate runs are deterministic.
-        return _make_certified([[0.3, 0.3, 0.2]], [1.0 / 6.0], 0, label)
-    if label == "pt4":
-        return _make_certified(*_pt4_table(), 2, label)
-    if label == "pt5":
-        return _make_certified(*_pt5_table(), 3, label)
-    if label == "pt15":
-        return _make_certified(*_pt15_table(), 5, label)
-    if label == "high":
-        rule = conical_rule(4)
-        return RefQuadratureRule(rule.points, rule.weights, rule.exactness_degree, "high")
-    raise KeyError(f"unknown quadrature label {label!r}; known: {BUILTIN_LABELS}")
-
-
-@lru_cache(maxsize=None)
-def _keast14() -> RefQuadratureRule:
-    return _make_certified(*_keast14_table(), 4, "keast14")
-
-
-@lru_cache(maxsize=None)
-def _keast24() -> RefQuadratureRule:
-    return _make_certified(*_keast24_table(), 6, "keast24")
-
-
-def rule_for_degree(d: int) -> RefQuadratureRule:
-    """Cheapest stored or constructed rule certified to degree >= d."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    if d > 2 * GAUSS_MAX_N - 1:
-        raise ValueError(f"degree {d} is above {2 * GAUSS_MAX_N - 1}, the highest that conical rules "
-                         f"of n <= {GAUSS_MAX_N} Gauss points reach")
-    table = [
-        builtin_rule("pt1_centroid"),   # 1 point,  degree 1
-        builtin_rule("pt4"),            # 4 points, degree 2
-        builtin_rule("pt5"),            # 5 points, degree 3
-        _keast14(),                     # 14 points, degree 4
-        builtin_rule("pt15"),           # 15 points, degree 5
-        _keast24(),                     # 24 points, degree 6
-        builtin_rule("high"),           # 64 points, degree 7
-    ]
-    for rule in table:
-        if rule.exactness_degree >= d:
-            return rule
-    return conical_rule((d + 2) // 2)
 
 
 def dump_rule(rule: RefQuadratureRule) -> str:
@@ -394,3 +369,37 @@ def dump_rule(rule: RefQuadratureRule) -> str:
     for (x, y, z), w in zip(rule.points, rule.weights):
         lines.append(f"{x:.17g} {y:.17g} {z:.17g} {w:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def _dump_fields(no, parts, kinds, expected):
+    """The fields of one rules-file line, converted by ``kinds``; ValueError naming the line."""
+    try:
+        if len(parts) != len(kinds):
+            raise ValueError
+        return [kind(t) for kind, t in zip(kinds, parts)]
+    except ValueError:
+        raise ValueError(f"rules file line {no}: expected '{expected}', got {' '.join(parts)!r}") from None
+
+
+def parse_rule_dump(text: str):
+    """Rules of a dump, as :func:`dump_rule` writes them: a line ``label degree npoints``, then
+    ``npoints`` lines ``x y z w``.  Returns (label, degree, points, weights) per rule.
+
+    Raises ValueError naming the line of a malformed header or point row, of a degree below 0,
+    or of a rule whose points the file ends before.
+    """
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    rules = []
+    pos = 0
+    while pos < len(lines):
+        no, parts = lines[pos]
+        label, degree, npts = _dump_fields(no, parts, (str, int, int), "label degree npoints")
+        if degree < 0:
+            raise ValueError(f"rules file line {no}: rule {label!r} declares degree {degree}, below 0")
+        rows = lines[pos + 1: pos + 1 + npts]
+        if npts < 1 or len(rows) < npts:
+            raise ValueError(f"rules file line {no}: rule {label!r} has {npts} points, {len(rows)} follow")
+        values = np.array([_dump_fields(row_no, row, (float,) * 4, "x y z w") for row_no, row in rows])
+        rules.append((label, degree, values[:, :3], values[:, 3]))
+        pos += 1 + npts
+    return rules

@@ -26,7 +26,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .quadrature import _gauss01
+from .quadrature import _collapsed, _gauss01, monomials_of_degree
 
 __all__ = [
     "CurlBasis",
@@ -45,12 +45,8 @@ LOCAL_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
 def _monomials_upto(d):
-    out = []
-    for total in range(d + 1):
-        for a in range(total, -1, -1):
-            for b in range(total - a, -1, -1):
-                out.append((a, b, total - a - b))
-    return out
+    """Exponents of the monomials of total degree <= d, by degree, each degree's in reverse order."""
+    return [m for total in range(d + 1) for m in reversed(list(monomials_of_degree(total)))]
 
 
 def _mono_values(monos, points):
@@ -104,10 +100,8 @@ def _curls(coeffs, monos, curl_monos):
 def _face_rule():
     """The collapsed 6 x 6 Gauss rule of the unit triangle, averaged over the six orders of
     its corners (216 points), so a face moment does not depend on which corner is listed first."""
-    x, w = _gauss01(6)
-    u, v = np.repeat(x, 6), np.tile(x, 6) * (1.0 - np.repeat(x, 6))
-    bary = np.column_stack([1.0 - (u + v), u, v])
-    weights = np.repeat(w, 6) * np.tile(w, 6) * (1.0 - u)
+    st, weights = _collapsed(6, (0, 0), "face rule")
+    bary = np.column_stack([1.0 - st.sum(axis=1), st])
     return np.concatenate([bary[:, list(p[1:])] for p in permutations(range(3))]), np.tile(weights, 6) / 6.0
 
 

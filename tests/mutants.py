@@ -36,9 +36,18 @@ COPIED = ("src", "tests", "configs", "perfbench", "pyproject.toml")
 REF = "src/edgefem/reference_element.py"
 MESH = "src/edgefem/mesh.py"
 ASM = "src/edgefem/assembly.py"
+QUAD = "src/edgefem/quadrature.py"
 BASIS_TESTS = ["tests/test_reference_element.py", "tests/test_assembly.py"]
 
 MUTANTS = [
+    # -- the quadrature rules
+    ("declared degree off by one", QUAD,
+     '"pt15": (_pt15_table, 5)', '"pt15": (_pt15_table, 4)', ["tests/test_quadrature.py"]),
+    ("collapsed Jacobian exponent off by one", QUAD,
+     "(1.0 - ui) ** (d - 1 - i - a)", "(1.0 - ui) ** (d - i - a)", ["tests/test_quadrature.py"]),
+    ("rule_for_degree considers pt1_offcenter", QUAD,
+     'if label != "pt1_offcenter" and declared >= d:', "if declared >= d:",
+     ["tests/test_quadrature.py", "-k", "rule_for_degree"]),
     # -- the basis: generators, curls, dofs and orientation
     ("curl sign flipped", REF,
      "d[:, 1, 2] - d[:, 2, 1]", "d[:, 2, 1] - d[:, 1, 2]", BASIS_TESTS),

@@ -238,7 +238,10 @@ def test_main_quadcheck_exit_code(tmp_path, capsys):
     ("r 3 2\n\n0.1 0.2\n0.1 0.2 0.3 0.4\n", "line 3: expected 'x y z w', got '0.1 0.2'"),
     ("r 3 2\n0.1 0.2 0.3 0.4\n", "line 1: rule 'r' has 2 points, 1 follow"),
     ("r 3 0\n", "line 1: rule 'r' has 0 points, 0 follow"),
-], ids=["header", "point-row", "cut-short", "no-points"])
+    ("r -1 1\n0.25 0.25 0.25 0.16666666666666666\n", "line 1: rule 'r' declares degree -1, below 0"),
+    ("pt4 2 1\n0.25 0.25 0.25 0.16666666666666666\n\nr -5 1\n0.25 0.25 0.25 0.16666666666666666\n",
+     "line 4: rule 'r' declares degree -5, below 0"),
+], ids=["header", "point-row", "cut-short", "no-points", "degree-minus-1", "degree-minus-5"])
 def test_main_quadcheck_malformed_rules_file(tmp_path, capsys, text, named):
     rules = tmp_path / "rules.txt"
     rules.write_text(text)

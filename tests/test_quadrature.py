@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from edgefem.quadrature import (
     BUILTIN_LABELS,
     GAUSS_MAX_N,
     RefQuadratureRule,
+    _certify,
+    _gauss01,
     _gauss_table,
     builtin_rule,
     conical_rule,
@@ -18,7 +21,7 @@ from edgefem.quadrature import (
     tensorized_gl,
     verify_exactness,
 )
-from edgefem.reference_element import LOCAL_EDGES, REF_VERTICES, curl_basis
+from edgefem.reference_element import LOCAL_EDGES, REF_VERTICES, _face_rule, curl_basis
 
 from conftest import simplex_monomial_integral, random_tet
 
@@ -108,6 +111,46 @@ def test_certified_degrees_of_the_gauss_products():
     # (conical): the error just above them falls below CERTIFY_RTOL (7e-13 on x^18 for n = 10)
     assert [tensorized_gl(n).exactness_degree for n in range(1, 13)] == [-1, 1, 3, 5, 7, 9, 11, 13, 15, 18, 21, 25]
     assert [conical_rule(n).exactness_degree for n in range(1, 11)] == [1, 3, 5, 7, 9, 11, 13, 15, 18, 21]
+
+
+def _textbook_product(n, alphas):
+    """The collapsed product point by point: x = u, y = v(1-u), z = w(1-u)(1-v) (z only in 3D),
+    weighted by the Jacobian (1-u)^2 (1-v) in 3D or (1-u) in 2D over the Jacobi weights' part."""
+    (xu, wu), (xv, wv), *third = [_gauss01(n, a) for a in alphas]
+    points, weights = [], []
+    for i, j, k in itertools.product(range(n), range(n), range(n) if third else [None]):
+        u, v = float(xu[i]), float(xv[j])
+        if third:
+            w = float(third[0][0][k])
+            points.append((u, v * (1.0 - u), w * (1.0 - u) * (1.0 - v)))
+            jac = (1.0 - u) ** (2 - alphas[0]) * (1.0 - v) ** (1 - alphas[1])
+            weights.append(float(wu[i]) * float(wv[j]) * float(third[0][1][k]) * jac)
+        else:
+            points.append((u, v * (1.0 - u)))
+            weights.append(float(wu[i]) * float(wv[j]) * (1.0 - u) ** (1 - alphas[0]))
+    return np.array(points), np.array(weights)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("build, alphas", [(tensorized_gl, (0, 0, 0)), (conical_rule, (2, 1, 0))],
+                         ids=["tensorized", "conical"])
+def test_gauss_products_match_the_textbook_collapsed_map(build, alphas, n):
+    rule = build(n)
+    points, weights = _textbook_product(n, alphas)
+    np.testing.assert_array_max_ulp(rule.points, points, maxulp=2)
+    np.testing.assert_array_max_ulp(rule.weights, weights, maxulp=2)
+    assert rule.exactness_degree == _certify(points, weights, max_degree=2 * n + 2)
+
+
+def test_face_rule_matches_the_textbook_collapsed_map():
+    # the 6 x 6 triangle rule in barycentric (1 - s - t, s, t), listed once per order of the corners
+    st, weights = _textbook_product(6, (0, 0))
+    s, t = st.T
+    bary = np.column_stack([1.0 - (s + t), s, t])
+    points = np.concatenate([bary[:, [a, b]] for _, a, b in itertools.permutations(range(3))])
+    got_points, got_weights = _face_rule()
+    np.testing.assert_array_max_ulp(got_points, points, maxulp=2)
+    np.testing.assert_array_max_ulp(got_weights, np.tile(weights, 6) / 6.0, maxulp=2)
 
 
 def test_gauss_table_matches_scipy():
