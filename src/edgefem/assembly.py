@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .mesh import QuadGeometry, TetMesh, all_affine_data
 from .quadrature import RefQuadratureRule, rule_for_degree
-from .reference_element import LOCAL_EDGES, CurlBasis, curl_basis, orientation_table
+from .reference_element import LOCAL_EDGES, CurlBasis, _mono_values, curl_basis, orientation_table
 
 __all__ = [
     "MatrixField",
@@ -231,6 +231,16 @@ class SolutionField:
         w, basis = self.local[tet_indices], self.space.basis
         return _push(geo, "mass", basis, w), _push(geo, "curl", basis, w)
 
+    def polynomial(self, kind: str) -> np.ndarray:
+        """The pushed curls (kind 'curl') or values (otherwise) on every element, as (nt, 3, n_mono)
+        coefficients of the basis's monomials in the reference coordinates: a straight element
+        pushes by one matrix, J / det J for curls and J^-T for values."""
+        jac, _, det, inv = self.space.affine
+        basis = self.space.basis
+        ref = basis.curl_coeffs if kind == "curl" else basis.value_coeffs             # (nd, 3, n_mono)
+        push = jac / det[:, None, None] if kind == "curl" else np.swapaxes(inv, 1, 2)
+        return push @ (self.local @ ref.reshape(basis.n_dofs, -1)).reshape(len(push), 3, -1)
+
 
 # -- the form terms -------------------------------------------------------------
 
@@ -283,11 +293,12 @@ def _integrand(geo: QuadGeometry, kind: str, coeff, u, v):
     return np.vdot(v, geo.weights[..., None] * c.reshape(v.shape))
 
 
-def _geometries(rule, affine, per_point):
+def _geometries(rule, affine, per_point, per_element=0):
     """(chunk, geometry of ``rule`` on it) for consecutive runs of the elements whose (J, origin,
-    det, Jinv) are ``affine``, each at most _CHUNK_BUDGET // (per_point * npoints) long: the one
-    chunk loop of the straight-element kernels, per_point being a kernel's scratch values per point."""
-    nt, step = len(affine[0]), max(1, _CHUNK_BUDGET // (per_point * rule.npoints))
+    det, Jinv) are ``affine``, each at most _CHUNK_BUDGET // (per_point * npoints + per_element)
+    long: the one chunk loop of the straight-element kernels, per_point and per_element being a
+    kernel's scratch values per point and per element."""
+    nt, step = len(affine[0]), max(1, _CHUNK_BUDGET // (per_point * rule.npoints + per_element))
     for lo in range(0, nt, step):
         chunk = slice(lo, min(lo + step, nt))
         yield chunk, QuadGeometry.affine(rule, *(a[chunk] for a in affine))
@@ -353,27 +364,69 @@ def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quadrature
     return SparseSystem(matrix=reduced, rhs=rhs[free], n_free=len(free), space=space, free_index=free)
 
 
+def _moment_table(rule, basis, kind):
+    """The rule's weighted monomials of the reference coordinates, over the basis's monomials of
+    its curls for 'curl' and of its values otherwise: w_l x_l^m (L, n) for 'load', else the
+    products w_l x_l^m x_l^n (L, n n), whose sum over the points is the rule's Gram matrix."""
+    p = _mono_values(basis.curl_monos if kind == "curl" else basis.value_monos, rule.points)
+    if kind != "load":
+        p = (p[:, :, None] * p[:, None, :]).reshape(len(p), -1)
+    return rule.weights[:, None] * p
+
+
+def _moment_term(kind, moments, a, b, absdet):
+    """Unscaled value of one term on E straight elements from the monomial coefficients a of u
+    (unused for 'load') and b of v, (E, 3, n), and |det J| (E,): the sum over the elements of
+    |det J| conj(b) . y, where y (E, 3, n) is the coefficient's ``moments`` applied to a.
+
+    ``moments`` (E, J, K), or (1, J, K) for a constant, holds the integrals of each of the
+    coefficient's K entries against the columns of :func:`_moment_table`: the K = 3 components
+    of the load are y themselves, a scalar (K = 1) gives y = a Q with Q the (n, n) moments, and
+    the 9 entries (c, d) of a matrix give y_c = sum_d a_d Q_cd."""
+    n, lead = b.shape[-1], moments.shape[:-2]
+    if kind == "load":
+        y = np.swapaxes(moments, -1, -2)
+    elif moments.shape[-1] == 1:
+        y = a @ moments.reshape(lead + (n, n))
+    else:
+        q = np.moveaxis(moments.reshape(lead + (n, n, 3, 3)), (-2, -1), (-4, -3))     # (..., c, d, m, n)
+        y = (a.reshape(len(a), 1, 1, 3 * n) @ q.reshape(lead + (3, 3 * n, n))).reshape(a.shape)
+    # an einsum, not a BLAS dot, whose threads can take milliseconds to wake on a busy host
+    return np.einsum("e,ecm,ecm->", absdet, b.conj(), y)
+
+
 def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: QuadratureConfig,
                    U_dofs: np.ndarray, V_dofs: np.ndarray):
     """Numeric forms evaluated directly by quadrature from full dof vectors.
 
     Returns (Phi(U, V), F(V)); sesquilinear in (U, conj V).  Passing
     :func:`reference_config` gives the high-degree 'exact' reference values.
+
+    On a straight element the pushed fields are polynomials of the reference coordinates
+    (:meth:`SolutionField.polynomial`), so every term contracts their coefficients with the
+    moments of its coefficient against the rule's monomials: the coefficient is read at every
+    rule point, the fields at none.
     """
     space = EdgeSpace.of(mesh, order)
     U, V = (SolutionField(space, dofs) for dofs in (U_dofs, V_dofs))
+    fields = {curl: (U.polynomial(kind), V.polynomial(kind)) for curl, kind in ((True, "curl"), (False, "mass"))}
+    absdet = np.abs(space.affine[2])
     terms = _terms(coeffs, config)
 
     forms = [0j, 0j]                  # Phi, F
-    # terms with the same rule share each chunk's geometry and pushed fields
     for rule in {id(rule): rule for _, rule, _, _ in terms}.values():
-        # per point: u and v pushed both ways (12), a matrix coefficient and the temporaries
-        # of its evaluation (14), c u and w c u (6), the physical point and weight (2); budgeted
-        # at 3x that, so each temporary stays below glibc's mmap threshold and is reused from
-        # the heap instead of being mapped and page-faulted afresh in every chunk
-        for chunk, geo in _geometries(rule, space.affine, 96):
-            (u, curl_u), (v, curl_v) = U.eval_elements(geo, chunk), V.eval_elements(geo, chunk)
-            for kind, _, coeff, scale in (t for t in terms if t[1] is rule):
-                pair = (curl_u, curl_v) if kind == "curl" else (u, v)
-                forms[kind == "load"] += scale * _integrand(geo, kind, coeff, *pair)
+        on_rule = []
+        for kind, _, coeff, scale in (t for t in terms if t[1] is rule):
+            table = _moment_table(rule, space.basis, kind)
+            const = None if coeff.constant is None else (table.sum(axis=0)[:, None] * coeff.constant.reshape(-1))[None]
+            on_rule.append((kind, coeff, scale, table, const, fields[kind == "curl"]))
+        # per point: the physical point and weight (4), a matrix coefficient and the temporaries
+        # of its evaluation (14); per element: the moments of a matrix coefficient and their
+        # reordered copy (2 x 9 n^2)
+        for chunk, geo in _geometries(rule, space.affine, 18, 18 * len(space.basis.value_monos) ** 2):
+            for kind, coeff, scale, table, moments, (a, b) in on_rule:
+                if moments is None:
+                    c = coeff(geo.points.reshape(-1, 3)).reshape(len(geo.points), rule.npoints, -1)
+                    moments = _real_times(table.T, c)                                    # (E, J, K)
+                forms[kind == "load"] += scale * _moment_term(kind, moments, a[chunk], b[chunk], absdet[chunk])
     return complex(forms[0]), complex(forms[1])

@@ -227,9 +227,14 @@ class QuadGeometry:
     @classmethod
     def affine(cls, rule: RefQuadratureRule, jac, origin, det, inv) -> "QuadGeometry":
         """Straight elements, from slices of the arrays of :func:`all_affine_data`; in the kernels
-        its one caller is ``assembly._geometries``, the chunk loop over a space's elements."""
-        points = rule.points @ np.swapaxes(jac, 1, 2)
-        points += origin[:, None, :]
+        its one caller is ``assembly._geometries``, the chunk loop over a space's elements.
+
+        The points origin + J x are one GEMM of the rows [origin | J] (E, 12) with the table
+        delta_ij (1, x) (12, 3L) of the rule in homogeneous coordinates."""
+        homogeneous = np.column_stack([np.ones(rule.npoints), rule.points])        # (L, 4)
+        table = np.einsum("ij,lk->iklj", np.eye(3), homogeneous).reshape(12, -1)
+        rows = np.concatenate([origin[:, :, None], jac], axis=2).reshape(len(jac), 12)
+        points = (rows @ table).reshape(len(jac), rule.npoints, 3)
         weights = np.abs(det)[:, None] * rule.weights[None, :]
         return cls(rule, points, weights, jac[:, None], inv[:, None], det[:, None])
 

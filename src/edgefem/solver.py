@@ -68,6 +68,7 @@ def solve(system: SparseSystem, tol: float = 1e-10, max_iter: Optional[int] = No
     r = b.astype(dtype)
     z = minv * r
     p = z.copy()
+    scratch = np.empty_like(p)        # z and scratch are reused by every iteration
     rz = np.vdot(r, z)
     history = []
     for iterations in range(1, max_iter + 1):
@@ -76,14 +77,17 @@ def solve(system: SparseSystem, tol: float = 1e-10, max_iter: Optional[int] = No
         if curvature.real <= 0.0 or abs(curvature.imag) > 1e-8 * abs(curvature.real):
             raise SolverBreakdown("curvature is not real positive; matrix is not HPD", iterations, float(curvature.real))
         alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, q, out=scratch)
         history.append(float(np.linalg.norm(r) / bnorm))
         if history[-1] <= tol:
             break
-        z = minv * r
+        np.multiply(minv, r, out=z)
         rz_new = np.vdot(r, z)
-        p = z + (rz_new / rz) * p
+        # p = z + beta p with beta first, as numpy's complex product does not commute bit for bit;
+        # IEEE addition does
+        np.multiply(rz_new / rz, p, out=p)
+        p += z
         rz = rz_new
 
     true_rel = float(np.linalg.norm(b - A @ x) / bnorm)

@@ -96,8 +96,14 @@ MUTANTS = [
     ("sign of the mass scale", ASM,
      "coeffs.eps, -coeffs.omega ** 2)", "coeffs.eps, coeffs.omega ** 2)", ["tests/test_assembly.py"]),
     ("load term reads the curl push", ASM,
-     'pair = (curl_u, curl_v) if kind == "curl" else (u, v)', 'pair = (curl_u, curl_v) if kind != "mass" else (u, v)',
-     ["tests/test_assembly.py"]),
+     'fields[kind == "curl"]', 'fields[kind != "mass"]', ["tests/test_assembly.py"]),
+    ("curl coefficients pushed by J^T / det J", ASM,
+     'push = jac / det[:, None, None] if kind == "curl"',
+     'push = np.swapaxes(jac, 1, 2) / det[:, None, None] if kind == "curl"', ["tests/test_assembly.py"]),
+    ("moment table without the rule weights", ASM,
+     "return rule.weights[:, None] * p", "return p", ["tests/test_assembly.py"]),
+    ("|det J| dropped from the moment contraction", ASM,
+     '"e,ecm,ecm->", absdet, b.conj(), y', '"ecm,ecm->", b.conj(), y', ["tests/test_assembly.py"]),
     ("conj dropped from the row dot", ASM,
      'np.einsum("...c,...c->...", u, v.conj())', 'np.einsum("...c,...c->...", u, v)', ["tests/test_assembly.py"]),
     ("weights dropped from the real load", ASM,
@@ -114,6 +120,10 @@ MUTANTS = [
     ("int64 scatter indices", ASM,
      "gdof.astype(np.int64 if space.n_dofs > np.iinfo(np.int32).max else np.int32)", "gdof.astype(np.int64)",
      ["tests/test_assembly.py", "-k", "holds_only_the_reduced_system"]),
+    # -- the solver
+    ("CG direction product taken p first", "src/edgefem/solver.py",
+     "np.multiply(rz_new / rz, p, out=p)", "np.multiply(p, rz_new / rz, out=p)",
+     ["tests/test_solver.py", "-k", "in_place"]),
     # -- the one space per (mesh, order), and its release
     ("space lookup always builds", ASM,
      "return _SPACES.get((id(mesh), order)) or _SPACES.setdefault((id(mesh), order), cls(mesh, order))",

@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from edgefem.analysis import (
     CSV_HEADER,
+    _error_integrals,
     _probe_fit,
     ErrorRecord,
     consistency_error,
@@ -180,6 +182,20 @@ def test_discrete_hcurl_norm_scaling():
     u = probe_field(space, seed=42)
     assert discrete_hcurl_norm(SolutionField(space, u)) == pytest.approx(1.0, rel=1e-12)
     assert discrete_hcurl_norm(SolutionField(space, 2.0 * u)) == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_discrete_norm_matches_the_error_against_zero(rng, order):
+    # the closed-form norm against the squared errors of the field from zero, integrated with
+    # the field pushed to every point of the same rule, on a jiggled mesh with complex dofs
+    base = structured_cube_mesh(2)
+    mesh = TetMesh(base.vertices + rng.uniform(-0.1, 0.1, base.vertices.shape), base.tets)
+    space = EdgeSpace(mesh, order)
+    zero = lambda pts: np.zeros((len(pts), 3))
+    for dofs in (rng.standard_normal(space.n_dofs), [1.0, 1j] @ rng.standard_normal((2, space.n_dofs))):
+        sol = SolutionField(space, dofs)
+        want = math.sqrt(sum(_error_integrals(sol, zero, zero, rule_for_degree(2 * order + 2))))
+        assert abs(discrete_hcurl_norm(sol) - want) <= 1e-13 * want
 
 
 def test_consistency_error_exact_for_compliant_constant_coefficients():

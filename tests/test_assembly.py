@@ -421,6 +421,49 @@ def test_integrand_shortcuts_match_the_general_contraction(rng, order):
                      [_integrand(geo, "load", load, None, v.astype(complex))])
 
 
+def _forms_by_pushes(mesh, order, coeffs, config, U_dofs, V_dofs):
+    """The forms as the per-point sum of _integrand over each term's chunks, from U and V pushed
+    to every rule point: the reference for the moment contraction of evaluate_forms."""
+    space = EdgeSpace.of(mesh, order)
+    U, V = (SolutionField(space, dofs) for dofs in (U_dofs, V_dofs))
+    forms = [0j, 0j]
+    for kind, rule, coeff, scale in _terms(coeffs, config):
+        for chunk, geo in assembly._geometries(rule, space.affine, 20):
+            (u, curl_u), (v, curl_v) = U.eval_elements(geo, chunk), V.eval_elements(geo, chunk)
+            pair = (curl_u, curl_v) if kind == "curl" else (u, v)
+            forms[kind == "load"] += scale * _integrand(geo, kind, coeff, *pair)
+    return forms
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_forms_by_moments_match_the_pointwise_sum(rng, order):
+    # constant, scalar-field and matrix-field coefficients, real and complex dofs and currents,
+    # each rule in each term, on jiggled vertices so that every Jacobian is a full 3x3 matrix
+    base = structured_cube_mesh(2)
+    mesh = TetMesh(base.vertices + rng.uniform(-0.1, 0.1, base.vertices.shape), base.tets)
+    complex_current = lambda pts: probe_vector_field(pts) + 1j * probe_vector_field(pts[:, ::-1])
+    coefficient_sets = [
+        Coefficients(mu_inv=2.5, eps=-1.0 + 0.3j, omega=1.3, current=probe_vector_field),
+        Coefficients(mu_inv=np.diag([1.0, 2.0, 3.0]) + 0.5, eps=-np.eye(3), omega=0.7,
+                     current=np.array([1.0, -2.0, 0.5j])),
+        Coefficients(mu_inv=lambda pts: 0.1 * _profile(pts), eps=lambda pts: (-1.0 + 0.3j) * _profile(pts[:, ::-1]),
+                     omega=1.3, current=complex_current),
+        Coefficients(mu_inv=probe_matrix_field, eps=lambda pts: -0.5 * probe_matrix_field(pts[:, ::-1]),
+                     omega=1.7, current=complex_current),
+    ]
+    configs = [QuadratureConfig(OFF, PT4, PT15), QuadratureConfig(PT15, OFF, PT4), reference_config()]
+    n_dofs = EdgeSpace(mesh, order).n_dofs
+    real = rng.standard_normal((2, n_dofs))
+    complex_ = real + 1j * rng.standard_normal((2, n_dofs))
+    for coeffs in coefficient_sets:
+        for config in configs:
+            for U, V in (real, complex_, (real[0], complex_[1])):
+                got = evaluate_forms(mesh, order, coeffs, config, U, V)
+                want = _forms_by_pushes(mesh, order, coeffs, config, U, V)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-13 * abs(w)
+
+
 def test_constant_multiple_of_identity_is_a_scalar():
     c = -2.5 + 0.5j
     assert MatrixField(c * np.eye(3)).constant.shape == ()

@@ -180,3 +180,37 @@ def test_phase_of_the_current_rotates_the_solution():
     (f_real, r_real), (f_rot, r_rot) = solve(real), solve(rotated)
     assert r_rot.iterations == r_real.iterations
     assert np.abs(f_rot.dofs - phase * f_real.dofs).max() <= 1e-12 * np.abs(f_real.dofs).max()
+
+
+def _allocating_cg(A, b, tol):
+    """The Jacobi-preconditioned CG recurrence with a fresh array for every product: the reference
+    for the in-place updates of ``solve``."""
+    minv = 1.0 / A.diagonal().real
+    x, r = np.zeros_like(b), b.copy()
+    z = minv * r
+    p, rz, history = z.copy(), np.vdot(r, z), []
+    while True:
+        q = A @ p
+        alpha = rz / np.vdot(p, q)
+        x = x + alpha * p
+        r = r - alpha * q
+        history.append(float(np.linalg.norm(r) / np.linalg.norm(b)))
+        if history[-1] <= tol:
+            return x, history
+        z = minv * r
+        rz_new = np.vdot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+
+
+def test_in_place_cg_matches_the_allocating_recurrence(rng):
+    # bit for bit, on a real catalog system and on a complex HPD one, whose products of complex
+    # numbers do not commute bit for bit in numpy
+    n = 50
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    complex_ = synthetic_system(B @ B.conj().T + n * np.eye(n), rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    for system in (cube_system(3, 2), complex_):
+        field, report = solve(system, tol=1e-10)
+        x, history = _allocating_cg(system.matrix, system.rhs, 1e-10)
+        assert np.array_equal(field.dofs[system.free_index], x)
+        assert list(report.residual_history) == history
