@@ -72,7 +72,10 @@ class CurvedMap:
 
     def jacobian(self, pts):
         g = _q2_shape_grad(pts)                       # (N, 10, 3)
-        return np.einsum("nkq,kp->npq", g, self.control_points)
+        # the gradients sum to zero, so the net's offset drops out; subtracting it first keeps
+        # the round-off of a far-translated element at its size, not at its distance from 0
+        cp = self.control_points
+        return np.einsum("nkq,kp->npq", g, cp - cp[0])
 
     def det_at(self, pts):
         return np.linalg.det(self.jacobian(pts))

@@ -73,6 +73,9 @@ MUTANTS = [
     ("curved J^-1 transposed", MESH,
      "jac[None], np.linalg.inv(jac)[None], det[None]", "jac[None], np.linalg.inv(jac).swapaxes(1, 2)[None], det[None]",
      ["tests/test_quadrature.py", "tests/test_assembly.py", "-k", "curved"]),
+    ("curved J from the untranslated control net", MESH,
+     'np.einsum("nkq,kp->npq", g, cp - cp[0])', 'np.einsum("nkq,kp->npq", g, cp)',
+     ["tests/test_invariance.py", "-k", "curved"]),
     ("curved weight without det J", MESH,
      "(det * rule.weights)[None]", "rule.weights[None]", ["tests/test_assembly.py", "tests/test_analysis.py"]),
     ("cofactor rows out of order", MESH,
