@@ -19,11 +19,10 @@ from .assembly import (
     EdgeSpace,
     QuadratureConfig,
     SolutionField,
+    _blocks,
     _geometries,
-    _integrand,
     _moment_table,
     _moment_term,
-    _push,
     evaluate_forms,
     reference_config,
 )
@@ -280,18 +279,18 @@ def curved_local_error(cmap: CurvedMap, coeff, rule: RefQuadratureRule, order: i
     """Quadrature error of one form term on a single curved element.
 
     ``coeff`` is a matrix field for modes 'mass' and 'curlcurl', a vector field
-    for 'load'.  The integrand is the consistency probe's, for fixed reference
-    dof vectors; the reference value integrates it with a high-degree
-    certified tensor rule through the same map.
+    for 'load'.  The term's value v . (B u), or v . f, contracts assembly's element
+    block (:func:`_blocks`) with fixed real dof vectors; the reference block comes
+    from a high-degree certified tensor rule through the same map.
     """
     kind = _curved_kind(mode)
     basis = curl_basis(order)
-    u = np.cos(1.0 + np.arange(basis.n_dofs))[None]
-    v = np.sin(2.0 + 0.7 * np.arange(basis.n_dofs))[None]
+    u = np.cos(1.0 + np.arange(basis.n_dofs))
+    v = np.sin(2.0 + 0.7 * np.arange(basis.n_dofs))
 
     def value(r):
-        geo = QuadGeometry.curved(r, cmap)
-        return _integrand(geo, kind, coeff, _push(geo, kind, basis, u), _push(geo, kind, basis, v))
+        block = _blocks(QuadGeometry.curved(r, cmap), kind, basis, coeff, 1.0)[0]
+        return v @ (block if kind == "load" else block @ u)
 
     return float(abs(value(tensorized_gl(10)) - value(rule)))
 

@@ -93,9 +93,12 @@ class Coefficients:
     current: VectorField
 
     def __post_init__(self):
-        object.__setattr__(self, "mu_inv", self.mu_inv if isinstance(self.mu_inv, MatrixField) else MatrixField(self.mu_inv))
-        object.__setattr__(self, "eps", self.eps if isinstance(self.eps, MatrixField) else MatrixField(self.eps))
-        object.__setattr__(self, "current", self.current if isinstance(self.current, VectorField) else VectorField(self.current))
+        for name, kind in (("mu_inv", MatrixField), ("eps", MatrixField), ("current", VectorField)):
+            fld = getattr(self, name)
+            fld = fld if isinstance(fld, kind) else kind(fld)
+            object.__setattr__(self, name, fld)
+            if fld.constant is not None and not np.isfinite(fld.constant).all():
+                raise ValueError(f"coefficient {name} has a non-finite constant: {fld.constant.tolist()}")
         if not (self.omega > 0):
             raise ValueError("omega must be positive")
         sample = np.array([[-0.9, 0.4, 0.7], [0.0, 0.0, 0.0], [0.8, -0.5, -1.0], [0.3, 0.9, -0.2]])
@@ -226,8 +229,8 @@ class SolutionField:
         return self.space.local(self.dofs)
 
     def eval_elements(self, geo: QuadGeometry, tet_indices):
-        """(values, curls) at the points of ``geo``, as (E, L, 3) arrays; ``geo`` maps its rule to
-        the elements ``tet_indices``, in the kernels a chunk and its geometry from :func:`_geometries`."""
+        """(values, curls) (E, L, 3) at the points of ``geo``, which maps its rule to the elements
+        ``tet_indices``: the H(curl) error's fields, the one reader of a discrete field at rule points."""
         w, basis = self.local[tet_indices], self.space.basis
         return _push(geo, "mass", basis, w), _push(geo, "curl", basis, w)
 
@@ -253,7 +256,8 @@ def _terms(coeffs: Coefficients, config: QuadratureConfig):
 
 def _push(geo: QuadGeometry, kind: str, basis: CurlBasis, local=None):
     """A term's shape data on ``geo``: curls with the contravariant push for 'curl', values with
-    the covariant push otherwise; the whole table (E, L, nd, 3), or the field (E, L, 3) of ``local``."""
+    the covariant push otherwise; the table (E, L, nd, 3) for :func:`_blocks`, or the field (E, L, 3)
+    of the local coefficients ``local`` (E, nd) for the H(curl) error."""
     tabulate, push = (basis.curl_many, geo.contravariant) if kind == "curl" else (basis.eval_many, geo.covariant)
     table = tabulate(geo.rule.points)
     if local is None:
@@ -276,23 +280,6 @@ def _coefficient_times(c, u):
     return c[..., 0] * u[..., :1] + c[..., 1] * u[..., 1:2] + c[..., 2] * u[..., 2:]
 
 
-def _integrand(geo: QuadGeometry, kind: str, coeff, u, v):
-    """Unscaled value of one term on ``geo``: the sum of w (coeff u) . conj v, or of
-    w coeff . conj v for 'load' (``u`` unused), from the pushed fields u, v (E, L, 3).
-
-    Scalar coefficients take the per-point dot u . conj v and then one dot with w c; a real v
-    meets the load as one real product of the row w v with c; matrices and a complex v meet
-    the weighted c u in one vdot."""
-    c, w = coeff(geo.points.reshape(-1, 3)), geo.weights.reshape(-1)
-    if c.ndim == 1:
-        return (w * c) @ np.einsum("...c,...c->...", u, v.conj()).reshape(-1)
-    if kind == "load" and not np.iscomplexobj(v):
-        return _real_times((w[:, None] * v.reshape(-1, 3)).reshape(-1), c.reshape(-1, 1))[0]
-    if kind != "load":
-        c = _coefficient_times(c.reshape(u.shape[:-1] + c.shape[1:]), u)
-    return np.vdot(v, geo.weights[..., None] * c.reshape(v.shape))
-
-
 def _geometries(rule, affine, per_point, per_element=0):
     """(chunk, geometry of ``rule`` on it) for consecutive runs of the elements whose (J, origin,
     det, Jinv) are ``affine``, each at most _CHUNK_BUDGET // (per_point * npoints + per_element)
@@ -304,28 +291,33 @@ def _geometries(rule, affine, per_point, per_element=0):
         yield chunk, QuadGeometry.affine(rule, *(a[chunk] for a in affine))
 
 
+def _blocks(geo: QuadGeometry, kind: str, basis: CurlBasis, coeff, scale):
+    """One term's element blocks B (E, nd, nd), or load vectors f (E, nd), on any ``geo``, straight or
+    curved, times ``scale`` in the dtype the coefficient and scale give, orientation not applied: over
+    the pushed shape data phi, B_ij sums w (c phi_j) . phi_i and f_i sums w c . phi_i."""
+    phys = _push(geo, kind, basis)                                      # (E, L, nd, 3)
+    ne, npts, nd, _ = phys.shape
+    c = coeff(geo.points.reshape(-1, 3))                                # (N,), (N, 3) or (N, 3, 3)
+    w = (scale * geo.weights).reshape((ne, npts) + (1,) * (c.ndim - 1))
+    wc = w * c.reshape((ne, npts) + c.shape[1:])
+    rows = phys.transpose(0, 2, 1, 3).reshape(ne, nd, 3 * npts)
+    if kind == "load":
+        return _real_times(rows, wc.reshape(ne, 3 * npts, 1))[:, :, 0]
+    cu = _coefficient_times(wc[:, :, None], phys)                       # (E, L, nd, 3)
+    del phys                            # freed first: the transposed copy of cu below has its size
+    return _real_times(rows, cu.transpose(0, 1, 3, 2).reshape(ne, 3 * npts, nd))
+
+
 def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, scale):
-    """Element blocks of one form term for all elements, times ``scale``, in the dtype
-    the coefficient and scale give; orientation not applied.  kind is 'curl', 'mass' or 'load'.
-    """
-    nd, npts = basis.n_dofs, rule.npoints
-    out = None
+    """:func:`_blocks` of one term for all elements of ``mesh``, whose (J, origin, det, Jinv) are given."""
+    # allocated before the first chunk frees its scratch, whose heap space glibc's malloc would
+    # otherwise give it: that left 6 MiB more resident through an order-2 scatter at n=8
+    dtype = np.result_type(coeff_field(origin[:1]), scale, np.float64)
+    out = np.empty((mesh.n_tets, basis.n_dofs) + ((basis.n_dofs,) if kind != "load" else ()), dtype)
     # per point and pushed table entry: the table and its transpose (half each, being real),
     # c u with the temporaries that form it, and its transpose
-    for chunk, geo in _geometries(rule, (jac, origin, det, inv), 5 * nd * 3):
-        phys = _push(geo, kind, basis)                                  # (E, L, nd, 3)
-        ne = len(phys)
-        c = coeff_field(geo.points.reshape(-1, 3))                      # (N,), (N, 3) or (N, 3, 3)
-        w = (scale * geo.weights).reshape(phys.shape[:2] + (1,) * (c.ndim - 1))
-        coeff = w * c.reshape(phys.shape[:2] + c.shape[1:])
-        rows = phys.transpose(0, 2, 1, 3).reshape(ne, nd, 3 * npts)
-        if kind == "load":
-            block = _real_times(rows, coeff.reshape(ne, 3 * npts, 1))[:, :, 0]
-        else:
-            cu = _coefficient_times(coeff[:, :, None], phys)            # (E, L, nd, 3)
-            block = _real_times(rows, cu.transpose(0, 1, 3, 2).reshape(ne, 3 * npts, nd))
-        out = np.empty((mesh.n_tets,) + block.shape[1:], block.dtype) if out is None else out
-        out[chunk] = block
+    for chunk, geo in _geometries(rule, (jac, origin, det, inv), 5 * basis.n_dofs * 3):
+        out[chunk] = _blocks(geo, kind, basis, coeff_field, scale)
     return out
 
 

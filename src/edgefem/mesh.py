@@ -62,6 +62,9 @@ class CurvedMap:
         cp = np.asarray(self.control_points, dtype=float)
         if cp.shape != (_Q2_NODES, 3):
             raise ValueError("curved maps are degree 2 with 10 control points")
+        bad = np.flatnonzero(~np.isfinite(cp).all(axis=1))
+        if len(bad):
+            raise ValueError(f"curved map control point {bad[0]} is not finite: {cp[bad[0]].tolist()}")
         object.__setattr__(self, "control_points", cp)
         sample = np.vstack([np.array(_monomials_upto(3)) / 3.0, [[0.25, 0.25, 0.25]]])   # step-1/3 lattice, centroid
         if np.any(self.det_at(sample) <= 0.0):
@@ -94,6 +97,14 @@ class TetMesh:
         tets = np.array(self.tets, dtype=np.int64, order="C")
         if len(tets) == 0:
             raise ValueError("mesh contains no tetrahedra")
+        if verts.shape[1:] != (3,) or tets.shape[1:] != (4,):
+            raise ValueError(f"mesh needs (nv, 3) vertices and (nt, 4) tets, got {verts.shape} and {tets.shape}")
+        bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+        if len(bad):
+            raise ValueError(f"mesh vertex {bad[0]} is not finite: {verts[bad[0]].tolist()}")
+        bad = np.flatnonzero(((tets < 0) | (tets >= len(verts))).any(axis=1))
+        if len(bad):
+            raise ValueError(f"mesh tet {bad[0]} has a vertex id outside 0..{len(verts) - 1}: {tets[bad[0]].tolist()}")
         diam, vols = _diameters_and_volumes(verts, tets)
         if np.any(np.abs(vols) <= 1e-12 * diam ** 3):
             raise ValueError("mesh contains a degenerate tetrahedron (|volume| <= 1e-12 diameter^3)")

@@ -14,9 +14,8 @@ from edgefem.assembly import (
     QuadratureConfig,
     SolutionField,
     VectorField,
-    _integrand,
+    _blocks,
     _orientation_transforms,
-    _push,
     _term_blocks,
     _terms,
     assemble,
@@ -28,7 +27,6 @@ from edgefem.analysis import (
     interpolate,
     probe_matrix_field,
     probe_vector_field,
-    shrunk_quadratic_map,
     smooth_random_field,
 )
 from edgefem.mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data, structured_cube_mesh
@@ -70,6 +68,15 @@ def test_coefficients_reject_asymmetric():
         Coefficients(mu_inv=bad, eps=np.eye(3), omega=1.0, current=np.zeros(3))
     with pytest.raises(ValueError):
         Coefficients(mu_inv=np.eye(3), eps=np.eye(3), omega=0.0, current=np.zeros(3))
+
+
+@pytest.mark.parametrize("name, value", [("mu_inv", np.full((3, 3), np.nan)), ("eps", np.nan),
+                                         ("current", np.array([1.0, np.inf, 0.0]))])
+def test_coefficients_reject_non_finite_constants(name, value):
+    given = dict(mu_inv=np.eye(3), eps=-1.0, omega=1.0, current=np.zeros(3))
+    given[name] = value
+    with pytest.raises(ValueError, match=f"coefficient {name} has a non-finite constant"):
+        Coefficients(**given)
 
 
 def test_curlcurl_block_exact_for_k1_any_rule(rng):
@@ -389,10 +396,9 @@ def test_scalar_coefficients_match_dense_diagonal(rng, order):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_integrand_shortcuts_match_the_general_contraction(rng, order):
-    # the scalar row dot and the real load product against the general vdot: scalar fields
-    # against the same fields as c I matrices, real dofs against the same dofs cast to complex,
-    # and a real test field on a curved element against the same field cast to complex
+def test_moment_shortcuts_match_the_general_contraction(rng, order):
+    # the scalar moment contraction against the matrix one: scalar fields against the same fields
+    # as c I matrices, and real dofs against the same dofs cast to complex
     base = structured_cube_mesh(2)
     mesh = TetMesh(base.vertices + rng.uniform(-0.1, 0.1, base.vertices.shape), base.tets)
     mu_inv = lambda pts: 0.1 * _profile(pts)
@@ -413,26 +419,14 @@ def test_integrand_shortcuts_match_the_general_contraction(rng, order):
             assert close(forms(scalar, U, V), forms(dense, U, V))
         assert close(forms(scalar, *real), forms(scalar, *real.astype(complex)))
 
-    geo = QuadGeometry.curved(PT15, shrunk_quadratic_map(0.5))
-    basis = curl_basis(order)
-    v = _push(geo, "load", basis, rng.standard_normal((1, basis.n_dofs)))
-    for load in (probe_vector_field, current):
-        assert close([_integrand(geo, "load", load, None, v)],
-                     [_integrand(geo, "load", load, None, v.astype(complex))])
 
-
-def _forms_by_pushes(mesh, order, coeffs, config, U_dofs, V_dofs):
-    """The forms as the per-point sum of _integrand over each term's chunks, from U and V pushed
-    to every rule point: the reference for the moment contraction of evaluate_forms."""
+def _forms_by_blocks(mesh, order, coeffs, config, U_dofs, V_dofs):
+    """The forms as the sums over the elements of conj(v) (A + M) u and conj(v) f, from the element
+    blocks of assembly and the local coefficients u, v: the reference for the moment contraction."""
     space = EdgeSpace.of(mesh, order)
-    U, V = (SolutionField(space, dofs) for dofs in (U_dofs, V_dofs))
-    forms = [0j, 0j]
-    for kind, rule, coeff, scale in _terms(coeffs, config):
-        for chunk, geo in assembly._geometries(rule, space.affine, 20):
-            (u, curl_u), (v, curl_v) = U.eval_elements(geo, chunk), V.eval_elements(geo, chunk)
-            pair = (curl_u, curl_v) if kind == "curl" else (u, v)
-            forms[kind == "load"] += scale * _integrand(geo, kind, coeff, *pair)
-    return forms
+    u, v = space.local(U_dofs), space.local(V_dofs)
+    A, M, f = element_blocks(mesh, space.basis, coeffs, config)
+    return (np.einsum("ei,eij,ej->", v.conj(), A + M, u), np.einsum("ei,ei->", v.conj(), f))
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -459,7 +453,7 @@ def test_forms_by_moments_match_the_pointwise_sum(rng, order):
         for config in configs:
             for U, V in (real, complex_, (real[0], complex_[1])):
                 got = evaluate_forms(mesh, order, coeffs, config, U, V)
-                want = _forms_by_pushes(mesh, order, coeffs, config, U, V)
+                want = _forms_by_blocks(mesh, order, coeffs, config, U, V)
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-13 * abs(w)
 
@@ -477,31 +471,20 @@ def test_constant_multiple_of_identity_is_a_scalar():
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_curved_integrand_matches_straight_forms_on_affine_map(rng, order):
-    # mid-edge nodes at the edge midpoints make the quadratic map affine, so
-    # the curved probe's integrand, scaled by the term table, must reproduce
-    # the straight-mesh forms on the same tet
+def test_curved_blocks_match_straight_blocks_on_affine_map(rng, order):
+    # mid-edge nodes at the edge midpoints make the quadratic map affine, so the blocks of
+    # every term on the curved element must reproduce the straight tet's, entry by entry
     verts = random_tet(rng)
     cmap = CurvedMap(np.vstack([verts] + [(verts[a] + verts[b]) / 2.0 for a, b in LOCAL_EDGES]))
-    mesh = one_tet(verts)
     coeffs = Coefficients(mu_inv=probe_matrix_field, eps=lambda pts: 0.5 * probe_matrix_field(pts),
                           omega=1.7, current=probe_vector_field)
     config = QuadratureConfig(PT4, PT5, PT15)
     basis = curl_basis(order)
-    u, v = rng.standard_normal((2, basis.n_dofs)) + 1j * rng.standard_normal((2, basis.n_dofs))
-    space = EdgeSpace(mesh, order)
-    n_dofs, gdof = space.n_dofs, space.gdof
-    U, V = np.zeros(n_dofs, dtype=complex), np.zeros(n_dofs, dtype=complex)
-    U[gdof[0]], V[gdof[0]] = u, v
-    phi, load = evaluate_forms(mesh, order, coeffs, config, U, V)
-
-    curved = {}
-    for kind, rule, coeff, scale in _terms(coeffs, config):
-        geo = QuadGeometry.curved(rule, cmap)
-        curved[kind] = scale * _integrand(geo, kind, coeff, _push(geo, kind, basis, u[None]),
-                                          _push(geo, kind, basis, v[None]))
-    assert abs(curved["curl"] + curved["mass"] - phi) <= 1e-13 * abs(phi)
-    assert abs(curved["load"] - load) <= 1e-13 * abs(load)
+    straight = element_blocks(one_tet(verts), basis, coeffs, config)
+    for (kind, rule, coeff, scale), want in zip(_terms(coeffs, config), straight):
+        got = _blocks(QuadGeometry.curved(rule, cmap), kind, basis, coeff, scale)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -252,6 +252,35 @@ def test_sliver_rejected_relative_to_size():
     TetMesh(1e-6 * REF_VERTICES, np.array([[0, 1, 2, 3]]))   # small is not degenerate
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(value):
+    verts = REF_VERTICES.copy()
+    verts[2, 1] = value                    # NaN also passes the degeneracy test, being no volume <= 0
+    with pytest.raises(ValueError, match=r"mesh vertex 2 is not finite: \[0\.0, (nan|-?inf), 0\.0\]"):
+        TetMesh(verts, np.array([[0, 1, 2, 3]]))
+
+
+def test_negative_vertex_id_rejected():
+    # -1 would wrap round to vertex 3 and make the same valid tet
+    with pytest.raises(ValueError, match=r"mesh tet 1 has a vertex id outside 0\.\.4: \[0, 1, 2, -1\]"):
+        TetMesh(np.vstack([REF_VERTICES, [1.0, 1.0, 1.0]]), np.array([[0, 1, 2, 3], [0, 1, 2, -1]]))
+
+
+def test_vertex_id_past_the_last_rejected():
+    with pytest.raises(ValueError, match=r"mesh tet 0 has a vertex id outside 0\.\.3: \[0, 1, 2, 4\]"):
+        TetMesh(REF_VERTICES, np.array([[0, 1, 2, 4]]))
+
+
+def test_tet_of_three_ids_rejected():
+    with pytest.raises(ValueError, match=r"mesh needs \(nv, 3\) vertices and \(nt, 4\) tets, got \(4, 3\) and \(1, 3\)"):
+        TetMesh(REF_VERTICES, np.array([[0, 1, 2]]))
+
+
+def test_planar_vertices_rejected():
+    with pytest.raises(ValueError, match=r"mesh needs \(nv, 3\) vertices and \(nt, 4\) tets, got \(4, 2\) and \(1, 4\)"):
+        TetMesh(REF_VERTICES[:, :2], np.array([[0, 1, 2, 3]]))
+
+
 def test_mesh_leaves_caller_arrays_writeable():
     verts, tets = REF_VERTICES.copy(), np.array([[0, 1, 2, 3]])
     mesh = TetMesh(verts, tets)
@@ -298,6 +327,16 @@ def test_curved_map_rejects_inverted_configuration():
     ctrl = _affine_controls(REF_VERTICES)
     ctrl[4 + 0] = np.array([3.0, -2.0, 0.0])
     with pytest.raises(ValueError):
+        CurvedMap(ctrl)
+
+
+def test_curved_map_rejects_non_finite_control_net():
+    # NaN Jacobians pass the sampled det > 0 test, being no det <= 0
+    with pytest.raises(ValueError, match=r"curved map control point 0 is not finite: \[nan, nan, nan\]"):
+        CurvedMap(np.full((10, 3), np.nan))
+    ctrl = _affine_controls(REF_VERTICES)
+    ctrl[7, 2] = np.inf
+    with pytest.raises(ValueError, match=r"curved map control point 7 is not finite"):
         CurvedMap(ctrl)
 
 
