@@ -85,7 +85,10 @@ class VectorField(_Field):
 
 @dataclass(frozen=True)
 class Coefficients:
-    """PDE data: inverse permeability, permittivity, frequency and current."""
+    """PDE data: inverse permeability, permittivity, frequency and current.
+
+    A constant field must be finite everywhere; a callable one is checked, for finite values and
+    symmetric matrices, only at four sample points."""
 
     mu_inv: MatrixField
     eps: MatrixField
@@ -99,12 +102,14 @@ class Coefficients:
             object.__setattr__(self, name, fld)
             if fld.constant is not None and not np.isfinite(fld.constant).all():
                 raise ValueError(f"coefficient {name} has a non-finite constant: {fld.constant.tolist()}")
-        if not (self.omega > 0):
-            raise ValueError("omega must be positive")
+        if not (np.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         sample = np.array([[-0.9, 0.4, 0.7], [0.0, 0.0, 0.0], [0.8, -0.5, -1.0], [0.3, 0.9, -0.2]])
-        for fld in (self.mu_inv, self.eps):
-            mats = fld(sample)
-            if mats.ndim == 3 and np.abs(mats - np.swapaxes(mats, 1, 2)).max() > 1e-14:
+        for name in ("mu_inv", "eps", "current"):
+            values = getattr(self, name)(sample)
+            if not np.isfinite(values).all():
+                raise ValueError(f"coefficient {name} is not finite at every sample point")
+            if values.ndim == 3 and np.abs(values - np.swapaxes(values, 1, 2)).max() > 1e-14:
                 raise ValueError("coefficient matrices must be symmetric")
 
 
@@ -188,12 +193,6 @@ class EdgeSpace:
         """(J, origin, det, Jinv) of every element, as :func:`all_affine_data`."""
         return all_affine_data(self.mesh)
 
-    def local(self, dofs) -> np.ndarray:
-        """The (nt, nd) coefficients of a full dof vector in the elements' local bases."""
-        if len(dofs) != self.n_dofs:
-            raise ValueError(f"dof vectors must have the full length {self.n_dofs}")
-        return (self.X @ np.asarray(dofs)[self.gdof][:, :, None])[:, :, 0]
-
 
 @dataclass
 class SparseSystem:
@@ -223,26 +222,23 @@ class SolutionField:
     space: EdgeSpace
     dofs: np.ndarray              # full layout, constrained entries zero
 
-    @cached_property
-    def local(self) -> np.ndarray:
-        """Local coefficients of the physical per-element expansion, (nt, nd)."""
-        return self.space.local(self.dofs)
+    def local(self, tets=slice(None)) -> np.ndarray:
+        """The (E, nd) coefficients of the dof vector in the local bases of the elements ``tets``, all
+        by default; computed when read, so they follow the dofs and a field kept alive holds no copy."""
+        if len(self.dofs) != self.space.n_dofs:
+            raise ValueError(f"dof vectors must have the full length {self.space.n_dofs}")
+        return (self.space.X[tets] @ np.asarray(self.dofs)[self.space.gdof[tets]][:, :, None])[:, :, 0]
 
-    def eval_elements(self, geo: QuadGeometry, tet_indices):
-        """(values, curls) (E, L, 3) at the points of ``geo``, which maps its rule to the elements
-        ``tet_indices``: the H(curl) error's fields, the one reader of a discrete field at rule points."""
-        w, basis = self.local[tet_indices], self.space.basis
-        return _push(geo, "mass", basis, w), _push(geo, "curl", basis, w)
-
-    def polynomial(self, kind: str) -> np.ndarray:
-        """The pushed curls (kind 'curl') or values (otherwise) on every element, as (nt, 3, n_mono)
-        coefficients of the basis's monomials in the reference coordinates: a straight element
-        pushes by one matrix, J / det J for curls and J^-T for values."""
-        jac, _, det, inv = self.space.affine
+    def polynomial(self, kind: str, tets=slice(None)) -> np.ndarray:
+        """The pushed curls (kind 'curl') or values (otherwise) on the elements ``tets``, all by default,
+        as (E, 3, n_mono) coefficients of the basis's monomials in the reference coordinates: a straight
+        element pushes by one matrix, J / det J for curls and J^-T for values.  The one reader of a
+        discrete field: form evaluation, the discrete norm and the H(curl) error read only these."""
+        jac, _, det, inv = (a[tets] for a in self.space.affine)
         basis = self.space.basis
         ref = basis.curl_coeffs if kind == "curl" else basis.value_coeffs             # (nd, 3, n_mono)
         push = jac / det[:, None, None] if kind == "curl" else np.swapaxes(inv, 1, 2)
-        return push @ (self.local @ ref.reshape(basis.n_dofs, -1)).reshape(len(push), 3, -1)
+        return push @ (self.local(tets) @ ref.reshape(basis.n_dofs, -1)).reshape(len(push), 3, -1)
 
 
 # -- the form terms -------------------------------------------------------------
@@ -252,19 +248,6 @@ def _terms(coeffs: Coefficients, config: QuadratureConfig):
     return (("curl", config.q1, coeffs.mu_inv, 1.0),
             ("mass", config.q2, coeffs.eps, -coeffs.omega ** 2),
             ("load", config.q3, coeffs.current, -1j * coeffs.omega))
-
-
-def _push(geo: QuadGeometry, kind: str, basis: CurlBasis, local=None):
-    """A term's shape data on ``geo``: curls with the contravariant push for 'curl', values with
-    the covariant push otherwise; the table (E, L, nd, 3) for :func:`_blocks`, or the field (E, L, 3)
-    of the local coefficients ``local`` (E, nd) for the H(curl) error."""
-    tabulate, push = (basis.curl_many, geo.contravariant) if kind == "curl" else (basis.eval_many, geo.covariant)
-    table = tabulate(geo.rule.points)
-    if local is None:
-        return push(table[None])
-    npts = len(table)
-    table = table.transpose(1, 0, 2).reshape(basis.n_dofs, 3 * npts).astype(local.dtype)
-    return push((local @ table).reshape(-1, npts, 3))
 
 
 def _real_times(a, b):
@@ -293,9 +276,11 @@ def _geometries(rule, affine, per_point, per_element=0):
 
 def _blocks(geo: QuadGeometry, kind: str, basis: CurlBasis, coeff, scale):
     """One term's element blocks B (E, nd, nd), or load vectors f (E, nd), on any ``geo``, straight or
-    curved, times ``scale`` in the dtype the coefficient and scale give, orientation not applied: over
-    the pushed shape data phi, B_ij sums w (c phi_j) . phi_i and f_i sums w c . phi_i."""
-    phys = _push(geo, kind, basis)                                      # (E, L, nd, 3)
+    curved, times ``scale`` in the dtype the coefficient and scale give, orientation not applied: over the
+    shape data phi, curls pushed contravariantly for 'curl' and values covariantly otherwise, B_ij sums
+    w (c phi_j) . phi_i and f_i sums w c . phi_i."""
+    tabulate, push = (basis.curl_many, geo.contravariant) if kind == "curl" else (basis.eval_many, geo.covariant)
+    phys = push(tabulate(geo.rule.points)[None])                        # (E, L, nd, 3)
     ne, npts, nd, _ = phys.shape
     c = coeff(geo.points.reshape(-1, 3))                                # (N,), (N, 3) or (N, 3, 3)
     w = (scale * geo.weights).reshape((ne, npts) + (1,) * (c.ndim - 1))

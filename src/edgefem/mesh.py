@@ -92,9 +92,9 @@ class TetMesh:
     tets: np.ndarray         # (nt, 4) vertex ids, positively oriented
 
     def __post_init__(self):
-        # copies, so freezing them leaves the caller's arrays writeable
+        # copies (the tets once their ids are checked), so freezing them leaves the caller's arrays writeable
         verts = np.array(self.vertices, dtype=float, order="C")
-        tets = np.array(self.tets, dtype=np.int64, order="C")
+        tets = np.asarray(self.tets)
         if len(tets) == 0:
             raise ValueError("mesh contains no tetrahedra")
         if verts.shape[1:] != (3,) or tets.shape[1:] != (4,):
@@ -102,9 +102,13 @@ class TetMesh:
         bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
         if len(bad):
             raise ValueError(f"mesh vertex {bad[0]} is not finite: {verts[bad[0]].tolist()}")
+        bad = [] if tets.dtype.kind in "biu" else np.flatnonzero((tets != np.floor(tets)).any(axis=1))
+        if len(bad):
+            raise ValueError(f"mesh tet {bad[0]} has a vertex id that is not an integer: {tets[bad[0]].tolist()}")
         bad = np.flatnonzero(((tets < 0) | (tets >= len(verts))).any(axis=1))
         if len(bad):
             raise ValueError(f"mesh tet {bad[0]} has a vertex id outside 0..{len(verts) - 1}: {tets[bad[0]].tolist()}")
+        tets = np.array(tets, dtype=np.int64, order="C")
         diam, vols = _diameters_and_volumes(verts, tets)
         if np.any(np.abs(vols) <= 1e-12 * diam ** 3):
             raise ValueError("mesh contains a degenerate tetrahedron (|volume| <= 1e-12 diameter^3)")

@@ -87,6 +87,8 @@ MUTANTS = [
      "(lo, sum(cols) - lo - hi, hi)", "(lo, cols[1], hi)", ["tests/test_mesh.py"]),
     ("keys decoded in reverse", MESH,
      "np.column_stack([unique, *columns[::-1]])", "np.column_stack([unique, *columns])", ["tests/test_mesh.py"]),
+    ("exact values compared without the transpose", "src/edgefem/analysis.py",
+     ".reshape(len(a), -1, 3).transpose(0, 2, 1)", ".reshape(len(a), 3, -1)", ["tests/test_analysis.py"]),
     ("chunk reads another chunk's Jacobians", ASM,
      "(a[chunk] for a in affine)", "(a[:chunk.stop - chunk.start] for a in affine)", ["tests/test_assembly.py"]),
     # -- the form terms
@@ -148,6 +150,17 @@ MUTANTS = [
     ("coefficients accept a NaN constant", ASM,
      "not np.isfinite(fld.constant).all()", "np.isinf(fld.constant).any()",
      ["tests/test_assembly.py", "-k", "non_finite_constants"]),
+    ("mesh truncates a fractional vertex id", MESH,
+     "(tets != np.floor(tets))", "(tets != tets)", ["tests/test_mesh.py", "-k", "fractional_vertex_id"]),
+    ("coefficients accept an infinite omega", ASM,
+     "np.isfinite(self.omega) and self.omega > 0", "self.omega > 0",
+     ["tests/test_assembly.py", "-k", "non_finite_omega"]),
+    ("coefficients accept a NaN field", ASM,
+     "if not np.isfinite(values).all():", "if np.isinf(values).any():",
+     ["tests/test_assembly.py", "-k", "non_finite_fields"]),
+    ("dof vectors one short accepted", ASM,
+     "if len(self.dofs) != self.space.n_dofs:", "if len(self.dofs) > self.space.n_dofs:",
+     ["tests/test_assembly.py", "-k", "another_length"]),
     ("mesh_ns accepts n < 1", "src/edgefem/analysis.py",
      "zip([0, *mesh_ns], mesh_ns)", "zip(mesh_ns, mesh_ns[1:])", ["tests/test_cli.py"]),
 ]

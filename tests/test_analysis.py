@@ -186,8 +186,9 @@ def test_discrete_hcurl_norm_scaling():
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_discrete_norm_matches_the_error_against_zero(rng, order):
-    # the closed-form norm against the squared errors of the field from zero, integrated with
-    # the field pushed to every point of the same rule, on a jiggled mesh with complex dofs
+    # both sides read the same monomial coefficients: the closed-form norm contracts them with
+    # the rule's Gram matrix, the squared errors of the field from zero evaluate them at the
+    # rule's points and sum the weighted squares; on a jiggled mesh with complex dofs
     base = structured_cube_mesh(2)
     mesh = TetMesh(base.vertices + rng.uniform(-0.1, 0.1, base.vertices.shape), base.tets)
     space = EdgeSpace(mesh, order)

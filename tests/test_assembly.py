@@ -32,10 +32,10 @@ from edgefem.analysis import (
 from edgefem.mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data, structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule, tensorized_gl
-from edgefem.reference_element import LOCAL_EDGES, curl_basis
+from edgefem.reference_element import LOCAL_EDGES, _mono_values, curl_basis
 from edgefem.solver import solve
 
-from conftest import free_vectors, point_rule, random_tet, tet_geometry
+from conftest import free_vectors, random_tet, tet_geometry
 
 OFF = builtin_rule("pt1_offcenter")
 CEN = builtin_rule("pt1_centroid")
@@ -76,6 +76,21 @@ def test_coefficients_reject_non_finite_constants(name, value):
     given = dict(mu_inv=np.eye(3), eps=-1.0, omega=1.0, current=np.zeros(3))
     given[name] = value
     with pytest.raises(ValueError, match=f"coefficient {name} has a non-finite constant"):
+        Coefficients(**given)
+
+
+def test_coefficients_reject_a_non_finite_omega():
+    # inf > 0 holds, so a positivity test alone lets it through
+    with pytest.raises(ValueError, match="omega must be positive and finite, got inf"):
+        Coefficients(mu_inv=np.eye(3), eps=-1.0, omega=np.inf, current=np.zeros(3))
+
+
+@pytest.mark.parametrize("name, shape", [("mu_inv", ()), ("eps", (3, 3)), ("current", (3,))])
+def test_coefficients_reject_non_finite_fields(name, shape):
+    # a callable field is first read at quadrature points, where its NaN would reach every block
+    given = dict(mu_inv=np.eye(3), eps=-1.0, omega=1.0, current=np.zeros(3))
+    given[name] = lambda pts: np.full((len(pts),) + shape, np.nan)
+    with pytest.raises(ValueError, match=f"coefficient {name} is not finite at every sample point"):
         Coefficients(**given)
 
 
@@ -242,8 +257,8 @@ def test_pec_tangential_trace(rng):
         pts = p0 + uv[:, :1] * (p1 - p0) + uv[:, 1:] * (p2 - p0)
         tet = tet_of_face[f]
         ref = (pts - origin[tet]) @ inv[tet].T
-        vals, _ = field.eval_elements(tet_geometry(mesh, [tet], point_rule(ref)), [tet])
-        tang = vals[0] - (vals[0] @ nrm)[:, None] * nrm
+        vals = _at_points(field, "mass", [tet], ref)[0]
+        tang = vals - (vals @ nrm)[:, None] * nrm
         worst = max(worst, np.abs(tang).max())
     assert worst <= 1e-9
 
@@ -317,7 +332,7 @@ def test_dropping_its_holders_frees_the_space_and_the_mesh():
         mesh = structured_cube_mesh(2)
         system = assemble(mesh, 1, catalog("cube_poly").coefficients, QuadratureConfig(OFF, CEN, CEN))
         field, _ = solve(system)
-        assert field.local.shape == (mesh.n_tets, 6)
+        assert field.local().shape == (mesh.n_tets, 6)
         refs = weakref.ref(system.space), weakref.ref(mesh)
         del system, field, mesh
         assert [ref() for ref in refs] == [None, None]
@@ -325,26 +340,56 @@ def test_dropping_its_holders_frees_the_space_and_the_mesh():
         gc.enable()
 
 
-def test_solution_field_eval_consistency():
-    # the batched evaluation against a per-element, per-point loop
-    prob = catalog("cube_poly")
-    mesh = structured_cube_mesh(2)
-    system = assemble(mesh, 1, prob.coefficients, QuadratureConfig(OFF, CEN, CEN))
-    field, _ = solve(system, tol=1e-12)
-    basis = curl_basis(1)
-    tets = [3, 11]
-    vals_vec, curls_vec = field.eval_elements(tet_geometry(mesh, tets, PT15), tets)
-    X = _orientation_transforms(mesh, basis)
-    gdof = EdgeSpace(mesh, 1).gdof
-    for row, tet in enumerate(tets):
-        corners = mesh.vertices[mesh.tets[tet]]
-        jac = (corners[1:] - corners[0]).T
-        local = X[tet] @ field.dofs[gdof[tet]]
-        for p, ref in enumerate(PT15.points):
-            v = (local @ basis.eval_many(ref[None])[0]) @ np.linalg.inv(jac)
-            c = jac @ (local @ basis.curl_many(ref[None])[0]) / np.linalg.det(jac)
-            assert np.abs(v - vals_vec[row, p]).max() <= 1e-14
-            assert np.abs(c - curls_vec[row, p]).max() <= 1e-14
+def _at_points(field, kind, tets, ref_pts):
+    """The pushed values (kind 'mass') or curls ('curl') of ``field`` at the reference points
+    ``ref_pts`` of the elements ``tets``, (E, L, 3), from its monomial coefficients."""
+    basis = field.space.basis
+    monos = basis.curl_monos if kind == "curl" else basis.value_monos
+    return np.einsum("ecm,lm->elc", field.polynomial(kind, tets), _mono_values(monos, ref_pts))
+
+
+def test_solution_field_eval_consistency(rng):
+    # the monomial coefficients evaluated at the rule's points against a per-element, per-point
+    # loop over the shape functions: a solved field on the cube to 1e-14, then random complex dofs of
+    # orders 1 and 2 on jiggled vertices, so that every Jacobian is a full 3x3 matrix, to 1e-14 of
+    # the largest value
+    cube = structured_cube_mesh(2)
+    system = assemble(cube, 1, catalog("cube_poly").coefficients, QuadratureConfig(OFF, CEN, CEN))
+    solved, _ = solve(system, tol=1e-12)
+    jiggled = TetMesh(cube.vertices + rng.uniform(-0.1, 0.1, cube.vertices.shape), cube.tets)
+    spaces = (EdgeSpace(jiggled, 1), EdgeSpace(jiggled, 2))
+    fields = [solved, *(SolutionField(s, rng.standard_normal(s.n_dofs) + 1j * rng.standard_normal(s.n_dofs))
+                        for s in spaces)]
+    tets = [3, 11, 40]
+    for field in fields:
+        mesh, basis = field.space.mesh, field.space.basis
+        vals_vec, curls_vec = (_at_points(field, kind, tets, PT15.points) for kind in ("mass", "curl"))
+        X = _orientation_transforms(mesh, basis)
+        gdof = EdgeSpace(mesh, basis.order).gdof
+        scale = 1.0 if field is solved else max(np.abs(vals_vec).max(), np.abs(curls_vec).max())
+        for row, tet in enumerate(tets):
+            corners = mesh.vertices[mesh.tets[tet]]
+            jac = (corners[1:] - corners[0]).T
+            local = X[tet] @ field.dofs[gdof[tet]]
+            for p, ref in enumerate(PT15.points):
+                v = (local @ basis.eval_many(ref[None])[0]) @ np.linalg.inv(jac)
+                c = jac @ (local @ basis.curl_many(ref[None])[0]) / np.linalg.det(jac)
+                assert np.abs(v - vals_vec[row, p]).max() <= 1e-14 * scale
+                assert np.abs(c - curls_vec[row, p]).max() <= 1e-14 * scale
+        # a run of elements, or any list of them, reads its rows of the whole mesh's coefficients bit
+        # for bit; one element alone only to round-off, as numpy takes a single row's product by gemv
+        for kind in ("mass", "curl"):
+            whole = field.polynomial(kind)
+            for chunk in (slice(5, 29), slice(17, None), tets):
+                assert np.array_equal(field.polynomial(kind, chunk), whole[chunk])
+            assert np.abs(field.polynomial(kind, [7]) - whole[[7]]).max() <= 1e-15 * np.abs(whole[7]).max()
+
+
+def test_dof_vectors_of_another_length_rejected():
+    space = EdgeSpace(structured_cube_mesh(1), 2)
+    for n in (space.n_dofs - 1, space.n_dofs + 1):
+        with pytest.raises(ValueError, match=f"dof vectors must have the full length {space.n_dofs}"):
+            SolutionField(space, np.zeros(n)).local()
 
 
 def test_matrix_field_vector_field_validation():
@@ -424,7 +469,7 @@ def _forms_by_blocks(mesh, order, coeffs, config, U_dofs, V_dofs):
     """The forms as the sums over the elements of conj(v) (A + M) u and conj(v) f, from the element
     blocks of assembly and the local coefficients u, v: the reference for the moment contraction."""
     space = EdgeSpace.of(mesh, order)
-    u, v = space.local(U_dofs), space.local(V_dofs)
+    u, v = SolutionField(space, U_dofs).local(), SolutionField(space, V_dofs).local()
     A, M, f = element_blocks(mesh, space.basis, coeffs, config)
     return (np.einsum("ei,eij,ej->", v.conj(), A + M, u), np.einsum("ei,ei->", v.conj(), f))
 

@@ -181,7 +181,7 @@ def test_row_keys_refuse_int64_overflow():
         _row_keys(columns, 2 ** 21 + 1)
 
 
-def _per_point_push(x, mats):
+def _pointwise_times(x, mats):
     """x (E or 1, L, m, 3) times mats (E, 1 or L, 3, 3), one vector at a time."""
     out = np.empty((len(mats),) + x.shape[1:], dtype=np.result_type(x, mats))
     for e, l, i in np.ndindex(out.shape[:3]):
@@ -199,8 +199,8 @@ def test_pushes_match_per_point_loop(rng, branch):
     det = geo.det[:, :, None, None]
     for lead in (1, len(geo.det)):
         x = rng.standard_normal((lead, rule.npoints, 4, 3)) + 1j * rng.standard_normal((lead, rule.npoints, 4, 3))
-        for pushed, expected in ((geo.covariant(x), _per_point_push(x, geo.inv)),
-                                 (geo.contravariant(x), _per_point_push(x, np.swapaxes(geo.jac, 2, 3)) / det)):
+        for pushed, expected in ((geo.covariant(x), _pointwise_times(x, geo.inv)),
+                                 (geo.contravariant(x), _pointwise_times(x, np.swapaxes(geo.jac, 2, 3)) / det)):
             assert np.abs(pushed - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
@@ -264,6 +264,12 @@ def test_negative_vertex_id_rejected():
     # -1 would wrap round to vertex 3 and make the same valid tet
     with pytest.raises(ValueError, match=r"mesh tet 1 has a vertex id outside 0\.\.4: \[0, 1, 2, -1\]"):
         TetMesh(np.vstack([REF_VERTICES, [1.0, 1.0, 1.0]]), np.array([[0, 1, 2, 3], [0, 1, 2, -1]]))
+
+
+def test_fractional_vertex_id_rejected():
+    # a cast to int64 alone would truncate 3.7 to 3 and make the reference tet
+    with pytest.raises(ValueError, match=r"mesh tet 0 has a vertex id that is not an integer: \[0\.0, 1\.0, 2\.0, 3\.7\]"):
+        TetMesh(REF_VERTICES, [[0, 1, 2, 3.7]])
 
 
 def test_vertex_id_past_the_last_rejected():
