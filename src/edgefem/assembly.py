@@ -133,12 +133,14 @@ def reference_config(degree: int = 10) -> QuadratureConfig:
 _SPACES = weakref.WeakValueDictionary()   # (id(mesh), order) -> a space some caller holds
 
 
-def _orientation_transforms(mesh: TetMesh, basis: CurlBasis) -> np.ndarray:
-    """Per-element dof transforms X (nt, nd, nd), looked up by vertex-id ranking."""
+def _orientation_transforms(mesh: TetMesh) -> np.ndarray:
+    """The ranking (nt,) uint8 of every element's vertex ids, as its index in ``RANKINGS``: the
+    element's dof transform is ``orientation_table(order)[ranking]``, one byte per element.  Named
+    for the transforms it picks, the name under which ``perfbench/spans.py`` times it."""
     # position of each ranking in the lexicographic RANKINGS: its Lehmer code, which weighs
     # each corner pair a < b whose ids are out of order by (3 - a)!
     ids = mesh.tets.T
-    return orientation_table(basis.order)[sum((6, 2, 1)[a] * (ids[a] > ids[b]) for a, b in LOCAL_EDGES)]
+    return sum((6, 2, 1)[a] * (ids[a] > ids[b]) for a, b in LOCAL_EDGES).astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +148,8 @@ class EdgeSpace:
     """The edge-element space of ``order`` on ``mesh``, compared by identity.
 
     Order 1 has one dof per edge; order 2 has two per edge, then two per face.  The
-    dof map, PEC mask, orientation transforms and element Jacobians are each computed
-    once, when first read.
+    dof map, PEC mask, vertex-id rankings and element Jacobians are each computed once,
+    when first read; no array of one value per pair of local dofs is kept.
     """
 
     mesh: TetMesh
@@ -184,9 +186,10 @@ class EdgeSpace:
         return (2 * entity[:, :, None] + np.arange(2)).reshape(self.mesh.n_tets, 20)
 
     @cached_property
-    def X(self) -> np.ndarray:
-        """The per-element dof transforms, (nt, nd, nd)."""
-        return _orientation_transforms(self.mesh, self.basis)
+    def ranking(self) -> np.ndarray:
+        """The vertex-id ranking of every element, (nt,), which picks its dof transform from
+        ``orientation_table(order)``."""
+        return _orientation_transforms(self.mesh)
 
     @cached_property
     def affine(self):
@@ -227,7 +230,8 @@ class SolutionField:
         by default; computed when read, so they follow the dofs and a field kept alive holds no copy."""
         if len(self.dofs) != self.space.n_dofs:
             raise ValueError(f"dof vectors must have the full length {self.space.n_dofs}")
-        return (self.space.X[tets] @ np.asarray(self.dofs)[self.space.gdof[tets]][:, :, None])[:, :, 0]
+        X = orientation_table(self.space.order)[self.space.ranking[tets]]
+        return (X @ np.asarray(self.dofs)[self.space.gdof[tets]][:, :, None])[:, :, 0]
 
     def polynomial(self, kind: str, tets=slice(None)) -> np.ndarray:
         """The pushed curls (kind 'curl') or values (otherwise) on the elements ``tets``, all by default,
@@ -293,52 +297,75 @@ def _blocks(geo: QuadGeometry, kind: str, basis: CurlBasis, coeff, scale):
     return _real_times(rows, cu.transpose(0, 1, 3, 2).reshape(ne, 3 * npts, nd))
 
 
-def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, scale):
-    """:func:`_blocks` of one term for all elements of ``mesh``, whose (J, origin, det, Jinv) are given."""
-    # allocated before the first chunk frees its scratch, whose heap space glibc's malloc would
-    # otherwise give it: that left 6 MiB more resident through an order-2 scatter at n=8
+def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, scale, *, into=None):
+    """:func:`_blocks` of one term for all elements of ``mesh``, whose (J, origin, det, Jinv) are given;
+    with ``into``, blocks of another term, they are added to it chunk by chunk, in the wider dtype of
+    the two, and the sum is returned."""
     dtype = np.result_type(coeff_field(origin[:1]), scale, np.float64)
-    out = np.empty((mesh.n_tets, basis.n_dofs) + ((basis.n_dofs,) if kind != "load" else ()), dtype)
+    if into is None:
+        # allocated before the first chunk frees its scratch, whose heap space glibc's malloc would
+        # otherwise give it: that left 6 MiB more resident through an order-2 scatter at n=8
+        out = np.empty((mesh.n_tets, basis.n_dofs) + ((basis.n_dofs,) if kind != "load" else ()), dtype)
+    else:
+        out = into.astype(np.result_type(dtype, into), copy=False)
     # per point and pushed table entry: the table and its transpose (half each, being real),
     # c u with the temporaries that form it, and its transpose
     for chunk, geo in _geometries(rule, (jac, origin, det, inv), 5 * basis.n_dofs * 3):
-        out[chunk] = _blocks(geo, kind, basis, coeff_field, scale)
+        if into is None:
+            out[chunk] = _blocks(geo, kind, basis, coeff_field, scale)
+        else:
+            out[chunk] += _blocks(geo, kind, basis, coeff_field, scale)
     return out
+
+
+def _orient(K, f, table, ranking):
+    """X^T K X and f X in place for the blocks K (E, nd, nd) and loads f (E, nd), X = table[ranking], over
+    chunks of at most 65,536 block values that reuse two workspaces."""
+    nd = K.shape[-1]
+    step = max(1, 65_536 // nd ** 2)
+    X, XtK = np.empty((step, nd, nd)), np.empty((step, nd, nd), K.dtype)
+    for lo in range(0, len(K), step):
+        hi = min(lo + step, len(K))
+        x = np.take(table, ranking[lo:hi], axis=0, out=X[:hi - lo], mode="clip")
+        np.matmul(np.matmul(np.swapaxes(x, 1, 2), K[lo:hi], out=XtK[:hi - lo]), x, out=K[lo:hi])
+        f[lo:hi] = _real_times(np.swapaxes(x, 1, 2), f[lo:hi, :, None])[:, :, 0]
 
 
 def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: QuadratureConfig) -> SparseSystem:
     """Assemble the numeric forms into a PEC-constrained sparse system."""
     space = EdgeSpace.of(mesh, order)
-    basis, gdof = space.basis, space.gdof
-    A, M, f = (_term_blocks(mesh, basis, rule, *space.affine, kind, coeff, scale)
-               for kind, rule, coeff, scale in _terms(coeffs, config))
-
-    # only the sum of the curl-curl and mass blocks is used; summing into the block of the
-    # wider dtype and freeing both before the scatter keeps them out of the peak memory of assembly
-    A, M = (M, A) if np.iscomplexobj(M) else (A, M)
-    A += M
-    del M
-    K = np.swapaxes(space.X, 1, 2) @ A @ space.X
-    del A
-    fo = (f[:, None] @ space.X)[:, 0]
+    nd, n = space.basis.n_dofs, space.n_dofs
+    curl, mass, load = ((space.basis, rule, *space.affine, kind, coeff, scale)
+                        for kind, rule, coeff, scale in _terms(coeffs, config))
+    # only the sum of the curl-curl and mass blocks is used, so one array holds it
+    K = _term_blocks(mesh, *mass, into=_term_blocks(mesh, *curl))
+    f = _term_blocks(mesh, *load)
+    _orient(K, f, orientation_table(order), space.ranking)
 
     # scipy stores these indices as int32 whenever they fit: build them so, and it keeps them
-    nd = basis.n_dofs
-    index = gdof.astype(np.int64 if space.n_dofs > np.iinfo(np.int32).max else np.int32)
-    rows = np.repeat(index, nd, axis=1).ravel()
-    cols = np.tile(index, (1, nd)).ravel()
-    full = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs)).tocsr()
-    del K, rows, cols
-    rhs = np.zeros(space.n_dofs, dtype=fo.dtype)
-    np.add.at(rhs, index.ravel(), fo.ravel())
+    index = space.gdof.astype(np.int64 if n > np.iinfo(np.int32).max else np.int32)
+    rhs = np.zeros(n, dtype=f.dtype)
+    np.add.at(rhs, index.ravel(), f.ravel())
+    del f
     if not rhs.imag.any():            # -i omega J is real: keep the load vector in float64
         rhs = rhs.real
 
+    # the CSR that coo_matrix((K, (rows, cols))).tocsr() builds before it sums duplicates: every
+    # global row lists its (element, local row) pairs in element order, each with the element's columns
+    pairs = np.argsort(index.ravel(), kind="stable")
+    data = K.reshape(-1, nd)[pairs].ravel()
+    del K
+    indices = index[pairs // nd].ravel()
+    del pairs
+    indptr = np.concatenate([[0], np.cumsum(nd * np.bincount(index.ravel(), minlength=n))])
+    full = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    del data, indices
+    full.sum_duplicates()
+
     free = np.flatnonzero(~space.constrained)
-    reduced = full[free][:, free].tocsr()
+    rows = full[free]
     del full
-    reduced.sum_duplicates()
-    return SparseSystem(matrix=reduced, rhs=rhs[free], n_free=len(free), space=space, free_index=free)
+    return SparseSystem(matrix=rows[:, free], rhs=rhs[free], n_free=len(free), space=space, free_index=free)
 
 
 def _moment_table(rule, basis, kind):

@@ -113,14 +113,23 @@ MUTANTS = [
      ["tests/test_analysis.py", "tests/test_assembly.py", "tests/test_invariance.py", "-k", "curved"]),
     # -- global assembly
     ("orientation dropped from K", ASM,
-     "K = np.swapaxes(space.X, 1, 2) @ A @ space.X", "K = A", ["tests/test_assembly.py"]),
-    ("load assigned instead of accumulated", ASM,
-     "np.add.at(rhs, index.ravel(), fo.ravel())", "rhs[index.ravel()] = fo.ravel()", ["tests/test_assembly.py"]),
-    ("cols built like rows", ASM,
-     "cols = np.tile(index, (1, nd)).ravel()", "cols = np.repeat(index, nd, axis=1).ravel()",
+     "np.matmul(np.matmul(np.swapaxes(x, 1, 2), K[lo:hi], out=XtK[:hi - lo]), x, out=K[lo:hi])", "pass",
      ["tests/test_assembly.py"]),
+    ("load transform left out", ASM,
+     "f[lo:hi] = _real_times(np.swapaxes(x, 1, 2), f[lo:hi, :, None])[:, :, 0]", "pass", ["tests/test_assembly.py"]),
+    ("mass term not added", ASM,
+     "out[chunk] += _blocks(geo, kind, basis, coeff_field, scale)", "_blocks(geo, kind, basis, coeff_field, scale)",
+     ["tests/test_assembly.py"]),
+    ("load assigned instead of accumulated", ASM,
+     "np.add.at(rhs, index.ravel(), f.ravel())", "rhs[index.ravel()] = f.ravel()", ["tests/test_assembly.py"]),
+    ("row grouping takes its columns from the wrong element", ASM,
+     "indices = index[pairs // nd].ravel()", "indices = index[np.sort(pairs) // nd].ravel()",
+     ["tests/test_assembly.py"]),
+    ("row pairs not in element order", ASM,
+     'np.argsort(index.ravel(), kind="stable")', "np.argsort(index.ravel())",
+     ["tests/test_assembly.py", "-k", "coo_scatter"]),
     ("int64 scatter indices", ASM,
-     "gdof.astype(np.int64 if space.n_dofs > np.iinfo(np.int32).max else np.int32)", "gdof.astype(np.int64)",
+     "space.gdof.astype(np.int64 if n > np.iinfo(np.int32).max else np.int32)", "space.gdof.astype(np.int64)",
      ["tests/test_assembly.py", "-k", "holds_only_the_reduced_system"]),
     # -- the solver
     ("CG direction product taken p first", "src/edgefem/solver.py",

@@ -27,6 +27,7 @@ from edgefem.assembly import Coefficients, EdgeSpace, MatrixField, QuadratureCon
 from edgefem.mesh import TetMesh, all_affine_data, structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule, rule_for_degree, tensorized_gl
+from edgefem.reference_element import orientation_table
 
 from conftest import random_tet
 
@@ -138,7 +139,7 @@ def test_interpolant_of_a_global_basis_function_is_its_unit_vector(order, perm, 
     def global_basis(j):
         def field(pts):
             pushed = space.basis.eval_many((pts - origin) @ inv.T) @ inv
-            return np.einsum("nmc,m->nc", pushed, space.X[0][:, j])
+            return np.einsum("nmc,m->nc", pushed, orientation_table(order)[space.ranking[0]][:, j])
         return field
 
     for j in range(space.basis.n_dofs):

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from edgefem import assembly
 from edgefem.assembly import (
@@ -32,7 +33,7 @@ from edgefem.analysis import (
 from edgefem.mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data, structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule, tensorized_gl
-from edgefem.reference_element import LOCAL_EDGES, _mono_values, curl_basis
+from edgefem.reference_element import LOCAL_EDGES, _mono_values, curl_basis, orientation_table
 from edgefem.solver import solve
 
 from conftest import free_vectors, random_tet, tet_geometry
@@ -307,7 +308,7 @@ def test_order2_dof_layout_and_pec():
 
 def test_one_space_per_mesh_and_order(monkeypatch):
     # assembly, the solve, the error and form evaluation on one (mesh, order) share one
-    # space, whose orientation transforms are computed once; another mesh or order has its own
+    # space, whose vertex-id rankings are computed once; another mesh or order has its own
     orient, calls = assembly._orientation_transforms, []
     monkeypatch.setattr(assembly, "_orientation_transforms", lambda *a: calls.append(a) or orient(*a))
     entry = catalog("cube_poly")
@@ -364,7 +365,7 @@ def test_solution_field_eval_consistency(rng):
     for field in fields:
         mesh, basis = field.space.mesh, field.space.basis
         vals_vec, curls_vec = (_at_points(field, kind, tets, PT15.points) for kind in ("mass", "curl"))
-        X = _orientation_transforms(mesh, basis)
+        X = orientation_table(basis.order)[_orientation_transforms(mesh)]
         gdof = EdgeSpace(mesh, basis.order).gdof
         scale = 1.0 if field is solved else max(np.abs(vals_vec).max(), np.abs(curls_vec).max())
         for row, tet in enumerate(tets):
@@ -558,12 +559,17 @@ def test_one_element_chunks_match_default_chunking(rng, monkeypatch, order):
 
 
 @pytest.mark.parametrize("order,n,config", [(1, 8, QuadratureConfig(OFF, CEN, CEN)), (2, 6, QuadratureConfig(PT5, PT5, PT15))])
-def test_assembly_holds_only_the_reduced_system(order, n, config):
+def test_assembly_holds_only_the_reduced_system(order, n, config, monkeypatch):
     # traced bytes per element-block entry, with the space built beforehand; int64 indices and a
-    # kept unconstrained matrix need a peak of 49.7 (k=1) and 45.7 (k=2) and keep 18.0 and 18.7
+    # kept unconstrained matrix need a peak of 49.7 (k=1) and 45.7 (k=2) and keep 18.0 and 18.7, and
+    # separate curl-curl and mass arrays, a cached (nt, nd, nd) orientation array and a COO scatter
+    # a peak of 34.4 and 36.6
+    csr_matrix, index_dtypes = assembly.sp.csr_matrix, []
+    monkeypatch.setattr(assembly.sp, "csr_matrix",
+                        lambda arrays, **kw: index_dtypes.append(arrays[1].dtype) or csr_matrix(arrays, **kw))
     mesh = structured_cube_mesh(n)
     space = EdgeSpace.of(mesh, order)
-    for name in ("gdof", "X", "affine", "constrained"):
+    for name in ("gdof", "ranking", "affine", "constrained"):
         getattr(space, name)
     entries = mesh.n_tets * space.basis.n_dofs ** 2
     tracemalloc.start()
@@ -572,9 +578,48 @@ def test_assembly_holds_only_the_reduced_system(order, n, config):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert system.matrix.indices.dtype == np.int32
-    assert peak / entries <= 40.0
+    # scipy keeps int32 indices without a copy, which an int64 array would cost in the scatter
+    assert index_dtypes == [np.int32] and system.matrix.indices.dtype == np.int32
+    assert peak / entries <= 30.0
     assert retained / entries <= 8.0
+    # the space keeps nothing of one value per pair of local dofs of each element
+    cached = [a for value in vars(space).values() for a in (value if isinstance(value, tuple) else (value,))]
+    assert max(a.size for a in cached if isinstance(a, np.ndarray)) < entries
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+@pytest.mark.parametrize("order,n", [(1, 7), (2, 4)])
+def test_csr_from_the_element_blocks_is_the_coo_scatter_bit_for_bit(order, n, lossy, rng):
+    # the reference scatters the oriented blocks as COO triplets, whose tocsr() sums the duplicates;
+    # relabelled vertices put the global rows out of element order, and both meshes take several
+    # chunks of the in-place orientation
+    entry = catalog("cube_oscillatory(10)")
+    coeffs = entry.coefficients
+    if lossy:
+        coeffs = dataclasses.replace(coeffs, eps=lambda pts: entry.eps0(pts[:, 2]) + 0.5j)
+    base = structured_cube_mesh(n)
+    perm = rng.permutation(base.n_vertices)
+    verts = np.empty_like(base.vertices)
+    verts[perm] = base.vertices
+    mesh, config = TetMesh(verts, perm[base.tets]), QuadratureConfig(PT5, PT5, PT15)
+    system = assemble(mesh, order, coeffs, config)
+
+    space = system.space
+    nd, gdof = space.basis.n_dofs, space.gdof
+    curl, mass, load = (_term_blocks(mesh, space.basis, rule, *space.affine, kind, coeff, scale)
+                        for kind, rule, coeff, scale in _terms(coeffs, config))
+    X = orientation_table(order)[space.ranking]
+    K = np.swapaxes(X, 1, 2) @ (curl + mass) @ X
+    rows, cols = np.repeat(gdof, nd, axis=1).ravel(), np.tile(gdof, (1, nd)).ravel()
+    free = np.flatnonzero(~space.constrained)
+    matrix = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2).tocsr()[free][:, free]
+    rhs = np.zeros(space.n_dofs, dtype=complex)
+    np.add.at(rhs, gdof.ravel(), (load[:, None] @ X)[:, 0].ravel())
+    rhs = rhs if rhs.imag.any() else rhs.real
+    assert matrix.dtype == (np.complex128 if lossy else np.float64)
+    for got, want in ((system.matrix.data, matrix.data), (system.matrix.indices, matrix.indices),
+                      (system.matrix.indptr, matrix.indptr), (system.rhs, rhs[free])):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("problem", ["cube_poly", "cube_oscillatory(10)"])

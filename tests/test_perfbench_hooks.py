@@ -20,6 +20,7 @@ tracer = spans.Tracer("smoke")
 spans.install(tracer)
 from edgefem import analysis, assembly, mesh, problems, quadrature, solver
 
+assembly._CHUNK_BUDGET = 2000     # several chunks per kernel call on these meshes
 entry = problems.catalog("cube_poly")
 rule = quadrature.builtin_rule("pt1_centroid")
 config = assembly.QuadratureConfig(quadrature.builtin_rule("pt1_offcenter"), rule, rule)
@@ -40,9 +41,13 @@ def test_benchmark_spans_are_recorded():
     for name in ("_term_blocks:curl", "_term_blocks:mass", "_term_blocks:load",
                  "_orientation_transforms", "all_affine_data", "evaluate_forms", "hcurl_error"):
         assert name in names, name
+    # one span per term and assembly, although each term runs in several chunks: a span per chunk
+    # would count the term's quadrature points again for each chunk
+    split = names.index("consistency_probe")
+    for kind in ("curl", "mass", "load"):
+        assert names[:split].count("_term_blocks:" + kind) == 1, kind
     # one Jacobian computation and one orientation lookup per mesh: assembly, the solve and
     # the error share one space, and so do each probed mesh's fields and form evaluations
-    split = names.index("consistency_probe")
     for name in ("all_affine_data", "_orientation_transforms"):
         assert names[:split].count(name) == 1, name
         assert names[split:].count(name) == 3, name

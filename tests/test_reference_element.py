@@ -155,12 +155,12 @@ def test_orientation_transforms_examples():
     tet = np.array([[0, 1, 2, 3]])
     for order in (1, 2):
         # local order already ascending in the global ids: no change of frame
-        X = _orientation_transforms(TetMesh(REF_VERTICES, tet), curl_basis(order))
-        assert np.array_equal(X[0], np.eye(curl_basis(order).n_dofs))
+        ranking = _orientation_transforms(TetMesh(REF_VERTICES, tet))
+        assert np.array_equal(orientation_table(order)[ranking[0]], np.eye(curl_basis(order).n_dofs))
     # descending ids reverse every edge; the same corners stay positively oriented
     mesh = TetMesh(REF_VERTICES[::-1], tet[:, ::-1])
     assert np.array_equal(mesh.tets[0], [3, 2, 1, 0])
-    assert np.array_equal(_orientation_transforms(mesh, curl_basis(1))[0], -np.eye(6))
+    assert np.array_equal(orientation_table(1)[_orientation_transforms(mesh)[0]], -np.eye(6))
 
 
 def test_orientation_lookup_matches_argsort_ranking():
@@ -174,8 +174,8 @@ def test_orientation_lookup_matches_argsort_ranking():
     ranks = np.argsort(np.argsort(mesh.tets, axis=1), axis=1)
     index = np.triu(ranks[:, :, None] > ranks[:, None, :], 1).sum(axis=2) @ np.array([6, 2, 1, 0])
     assert index.tolist() == [RANKINGS.index(tuple(r)) for r in ranks.tolist()] == list(range(24))
-    for order in (1, 2):
-        assert np.array_equal(_orientation_transforms(mesh, curl_basis(order)), orientation_table(order)[index])
+    ranking = _orientation_transforms(mesh)
+    assert ranking.dtype == np.uint8 and np.array_equal(ranking, index)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -195,7 +195,7 @@ def _pushed_values(mesh, tet, basis, phys_pts):
 
 
 def _global_basis_at(mesh, tet, basis, phys_pts):
-    X = _orientation_transforms(mesh, basis)[tet]
+    X = orientation_table(basis.order)[_orientation_transforms(mesh)[tet]]
     return np.einsum("nmc,md->ndc", _pushed_values(mesh, tet, basis, phys_pts), X)
 
 
