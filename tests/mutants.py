@@ -93,7 +93,7 @@ MUTANTS = [
      "(a[chunk] for a in affine)", "(a[:chunk.stop - chunk.start] for a in affine)", ["tests/test_assembly.py"]),
     # -- the form terms
     ("scalar coefficient branch returns u", ASM,
-     "return c[..., None] * u", "return u", ["tests/test_assembly.py"]),
+     "return c[..., None] * u", "return u", ["tests/test_assembly.py", "-k", "curved_blocks_match_straight"]),
     ("c*I stored as 1", ASM,
      "val = val[0, 0]", "val = np.float64(1.0)", ["tests/test_assembly.py"]),
     ("sign of the mass scale", ASM,
@@ -107,6 +107,15 @@ MUTANTS = [
      "return rule.weights[:, None] * p", "return p", ["tests/test_assembly.py"]),
     ("|det J| dropped from the moment contraction", ASM,
      '"e,ecm,ecm->", absdet, b.conj(), y', '"ecm,ecm->", b.conj(), y', ["tests/test_assembly.py"]),
+    ("product table built from values for curl", ASM,
+     'np.einsum("lic,ljd->lcdij", ref, ref)', 'np.einsum("lic,ljd->lcdij", *[basis.eval_many(geo.rule.points)] * 2)',
+     ["tests/test_assembly.py", "-k", "product_table"]),
+    ("P transposed in the load pullback", ASM,
+     "_real_times(P, np.swapaxes(wc, 1, 2))", "_real_times(np.swapaxes(P, 1, 2), np.swapaxes(wc, 1, 2))",
+     ["tests/test_assembly.py", "-k", "product_table"]),
+    ("|det J| dropped from the left rows", ASM,
+     "w = (scale * geo.weights)", "w = (scale * geo.weights / np.abs(geo.det))",
+     ["tests/test_assembly.py", "-k", "product_table"]),
     ("element kernel reads the coefficient at the reference points", ASM,
      "c = coeff(geo.points.reshape(-1, 3))                                # (N,)",
      "c = coeff(np.tile(geo.rule.points, (len(geo.points), 1)))          # (N,)",
@@ -126,7 +135,10 @@ MUTANTS = [
      "indices = index[pairs // nd].ravel()", "indices = index[np.sort(pairs) // nd].ravel()",
      ["tests/test_assembly.py"]),
     ("row pairs not in element order", ASM,
-     'np.argsort(index.ravel(), kind="stable")', "np.argsort(index.ravel())",
+     'np.argsort(dofs[kept], kind="stable")', "np.argsort(dofs[kept])",
+     ["tests/test_assembly.py", "-k", "coo_scatter"]),
+    ("scatter keeps the constrained rows", ASM,
+     "kept = np.flatnonzero(~space.constrained[dofs])", "kept = np.arange(len(dofs))",
      ["tests/test_assembly.py", "-k", "coo_scatter"]),
     ("int64 scatter indices", ASM,
      "space.gdof.astype(np.int64 if n > np.iinfo(np.int32).max else np.int32)", "space.gdof.astype(np.int64)",

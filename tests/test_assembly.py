@@ -516,21 +516,68 @@ def test_constant_multiple_of_identity_is_a_scalar():
         assert np.array_equal(a, b)
 
 
+COEFFICIENTS = {
+    "scalar": (lambda pts: 1.5 + np.sin(pts[:, 0] - 2.0 * pts[:, 2]), probe_vector_field),
+    "matrix": (probe_matrix_field, probe_vector_field),
+    "lossy": (lambda pts: probe_matrix_field(pts[:, ::-1]) + 0.5j * probe_matrix_field(pts),
+              lambda pts: probe_vector_field(pts) + 1j * probe_vector_field(pts[:, ::-1])),
+}
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_curved_blocks_match_straight_blocks_on_affine_map(rng, order):
     # mid-edge nodes at the edge midpoints make the quadratic map affine, so the blocks of
-    # every term on the curved element must reproduce the straight tet's, entry by entry
+    # every term on the curved element must reproduce the straight tet's, entry by entry; the two
+    # sides are different contractions: the curved element pushes its shape data at every point,
+    # the straight one contracts its push with the rule's product table
     verts = random_tet(rng)
     cmap = CurvedMap(np.vstack([verts] + [(verts[a] + verts[b]) / 2.0 for a, b in LOCAL_EDGES]))
-    coeffs = Coefficients(mu_inv=probe_matrix_field, eps=lambda pts: 0.5 * probe_matrix_field(pts),
-                          omega=1.7, current=probe_vector_field)
     config = QuadratureConfig(PT4, PT5, PT15)
     basis = curl_basis(order)
-    straight = element_blocks(one_tet(verts), basis, coeffs, config)
-    for (kind, rule, coeff, scale), want in zip(_terms(coeffs, config), straight):
-        got = _blocks(QuadGeometry.curved(rule, cmap), kind, basis, coeff, scale)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for matrix, vector in COEFFICIENTS.values():
+        coeffs = Coefficients(mu_inv=matrix, eps=lambda pts: 0.5 * matrix(pts), omega=1.7, current=vector)
+        straight = element_blocks(one_tet(verts), basis, coeffs, config)
+        for (kind, rule, coeff, scale), want in zip(_terms(coeffs, config), straight):
+            got = _blocks(QuadGeometry.curved(rule, cmap), kind, basis, coeff, scale)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def pointwise_blocks(geo, kind, basis, coeff, scale):
+    """The blocks, or load vectors, of straight elements from their shape data pushed at every rule
+    point: curls by J / det J and values by J^-T, as column vectors."""
+    jac, det, inv = geo.jac[:, 0], geo.det[:, 0], geo.inv[:, 0]
+    if kind == "curl":
+        phys = np.einsum("ecd,lid->elic", jac, basis.curl_many(geo.rule.points)) / det[:, None, None, None]
+    else:
+        phys = np.einsum("edc,lid->elic", inv, basis.eval_many(geo.rule.points))
+    c = coeff(geo.points.reshape(-1, 3))
+    c = c.reshape(geo.weights.shape + c.shape[1:])
+    w = scale * geo.weights
+    if kind == "load":
+        return np.einsum("el,elic,elc->ei", w, phys, c)
+    if c.ndim == 2:
+        return np.einsum("el,el,elic,eljc->eij", w, c, phys, phys)
+    return np.einsum("el,elic,elcd,eljd->eij", w, phys, c, phys)
+
+
+@pytest.mark.parametrize("rule", [CEN, PT5, PT15, tensorized_gl(2)], ids=lambda r: r.label)
+@pytest.mark.parametrize("coefficient", COEFFICIENTS)
+@pytest.mark.parametrize("order", [1, 2])
+def test_straight_product_table_blocks_match_the_pointwise_contraction(order, coefficient, rule, rng):
+    # jiggled vertices give every element a full Jacobian, whose push is not symmetric; a one-element
+    # chunk takes numpy's matrix-vector product instead of a GEMM
+    base = structured_cube_mesh(2)
+    mesh = TetMesh(base.vertices + rng.uniform(-0.15, 0.15, base.vertices.shape), base.tets)
+    matrix, vector = COEFFICIENTS[coefficient]
+    coeffs = Coefficients(mu_inv=matrix, eps=lambda pts: 0.5 * matrix(pts[:, [1, 2, 0]]), omega=1.7, current=vector)
+    basis = curl_basis(order)
+    for kind, _, coeff, scale in _terms(coeffs, QuadratureConfig(rule, rule, rule)):
+        for tets in (slice(None), [mesh.n_tets - 1]):
+            geo = tet_geometry(mesh, tets, rule)
+            got, want = _blocks(geo, kind, basis, coeff, scale), pointwise_blocks(geo, kind, basis, coeff, scale)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -291,6 +291,9 @@ RULES_ANY = st.one_of(st.sampled_from(BUILTIN_LABELS).map(builtin_rule), st.inte
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), rule=RULES_ANY)
 def test_curved_blocks_are_straight_blocks_with_transformed_coefficients(order, seed, rule):
+    # the two sides are different contractions of the same integrand: the curved block pushes the
+    # shape data at every rule point, the straight one contracts its one push with the rule's
+    # product table
     F = quadratic_map(seed)
     verts = random_tet(np.random.default_rng(seed))
     straight = TetMesh(verts, np.array([[0, 1, 2, 3]]))       # positively oriented: order kept
