@@ -136,17 +136,24 @@ def records_to_csv(records) -> str:
 
 
 def _error_integrals(sol: SolutionField, exact, exact_curl, rule: RefQuadratureRule):
-    tables = [_mono_values(monos, rule.points).T for monos in (sol.space.basis.value_monos, sol.space.basis.curl_monos)]
+    """The squared L2 errors of the field's values and curls against ``exact`` and ``exact_curl``: per
+    chunk the field is one GEMM of its (E, 3n) monomial rows with T[(c, m), (l, d)] = delta_cd x_l^m
+    (3n, 3L), in the exact values' (E, L, 3) layout, and the weights |det J| w_l are factored."""
+    tables = [np.einsum("cd,lm->cmld", np.eye(3), _mono_values(monos, rule.points)).reshape(3 * len(monos), -1)
+              for monos in (sol.space.basis.value_monos, sol.space.basis.curl_monos)]
     squares = [0.0, 0.0]
-    # per point: the physical point and weight (4), one field's values (3), then its exact values or the
-    # weighted difference (3); the chunks keep the length of 20: sized for 26, an order-2 sweep's peak rose 10 MiB
+    # per point: the physical point and weight (4), the field or its difference (3) and the exact values
+    # (3), but the chunks keep their length of 20 per point: an order-2 sweep's peak RSS moves with the
+    # chunk length through glibc's heap, and sized for 26 it rose by 10 MiB
     for chunk, geo in _geometries(rule, sol.space.affine, 20):
         flat = geo.points.reshape(-1, 3)
-        for i, (kind, fn) in enumerate((("mass", exact), ("curl", exact_curl))):
-            a = sol.polynomial(kind, chunk)                                     # (E, 3, n_mono)
-            diff = (a.reshape(-1, a.shape[2]) @ tables[i]).reshape(len(a), 3, -1)     # one GEMM of the rows
-            diff -= np.asarray(fn(flat)).reshape(len(a), -1, 3).transpose(0, 2, 1)
-            squares[i] += np.vdot(diff, geo.weights[:, None, :] * diff).real
+        for i, (a, fn) in enumerate(zip(sol.polynomials(chunk), (exact, exact_curl))):
+            diff = a.reshape(len(a), -1) @ tables[i]                                  # (E, 3L)
+            diff -= np.asarray(fn(flat)).reshape(len(a), -1)
+            sq = diff.view(float) if np.iscomplexobj(diff) else diff                  # |z|^2 = re^2 + im^2
+            np.square(sq, out=sq)
+            squares[i] += (sq @ np.repeat(rule.weights, sq.shape[1] // rule.npoints)) @ np.abs(geo.det[:, 0])
+            del diff, sq          # before the next GEMM: an order-2 sweep's peak RSS rose 1 MiB without
     return tuple(squares)
 
 
@@ -173,9 +180,8 @@ def discrete_hcurl_norm(sol: SolutionField) -> float:
     rule = rule_for_degree(2 * sol.space.order + 2)
     absdet = np.abs(sol.space.affine[2])
     squares = 0.0
-    for kind in ("mass", "curl"):
+    for kind, a in zip(("mass", "curl"), sol.polynomials()):
         gram = _moment_table(rule, sol.space.basis, kind).sum(axis=0)[None, :, None]
-        a = sol.polynomial(kind)
         squares += _moment_term(kind, gram, a, a, absdet).real
     return math.sqrt(squares)
 

@@ -233,16 +233,16 @@ class SolutionField:
         X = orientation_table(self.space.order)[self.space.ranking[tets]]
         return (X @ np.asarray(self.dofs)[self.space.gdof[tets]][:, :, None])[:, :, 0]
 
-    def polynomial(self, kind: str, tets=slice(None)) -> np.ndarray:
-        """The pushed curls (kind 'curl') or values (otherwise) on the elements ``tets``, all by default,
-        as (E, 3, n_mono) coefficients of the basis's monomials in the reference coordinates: a straight
-        element pushes by one matrix, J / det J for curls and J^-T for values.  The one reader of a
-        discrete field: form evaluation, the discrete norm and the H(curl) error read only these."""
+    def polynomials(self, tets=slice(None)):
+        """The pushed values and curls on the elements ``tets``, all by default, as (E, 3, n_mono)
+        coefficients of the basis's monomials in the reference coordinates, from one :meth:`local`: a
+        straight element pushes by one matrix, J^-T for values and J / det J for curls.  The one reader
+        of a discrete field: form evaluation, the discrete norm and the H(curl) error read only these."""
         jac, _, det, inv = (a[tets] for a in self.space.affine)
-        basis = self.space.basis
-        ref = basis.curl_coeffs if kind == "curl" else basis.value_coeffs             # (nd, 3, n_mono)
-        push = jac / det[:, None, None] if kind == "curl" else np.swapaxes(inv, 1, 2)
-        return push @ (self.local(tets) @ ref.reshape(basis.n_dofs, -1)).reshape(len(push), 3, -1)
+        basis, local = self.space.basis, self.local(tets)
+        return tuple(push @ (local @ ref.reshape(basis.n_dofs, -1)).reshape(len(push), 3, -1)   # ref (nd, 3, n)
+                     for ref, push in ((basis.value_coeffs, np.swapaxes(inv, 1, 2)),
+                                       (basis.curl_coeffs, jac / det[:, None, None])))
 
 
 # -- the form terms -------------------------------------------------------------
@@ -426,13 +426,13 @@ def evaluate_forms(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quad
     :func:`reference_config` gives the high-degree 'exact' reference values.
 
     On a straight element the pushed fields are polynomials of the reference coordinates
-    (:meth:`SolutionField.polynomial`), so every term contracts their coefficients with the
+    (:meth:`SolutionField.polynomials`), so every term contracts their coefficients with the
     moments of its coefficient against the rule's monomials: the coefficient is read at every
     rule point, the fields at none.
     """
     space = EdgeSpace.of(mesh, order)
-    U, V = (SolutionField(space, dofs) for dofs in (U_dofs, V_dofs))
-    fields = {curl: (U.polynomial(kind), V.polynomial(kind)) for curl, kind in ((True, "curl"), (False, "mass"))}
+    U, V = (SolutionField(space, dofs).polynomials() for dofs in (U_dofs, V_dofs))
+    fields = tuple(zip(U, V))         # U's and V's values, then their curls
     absdet = np.abs(space.affine[2])
     terms = _terms(coeffs, config)
 

@@ -15,7 +15,7 @@ independent, which is what makes the assembled space tangentially continuous.
 The change from the local canonical functionals to the global ones depends
 only on how an element's four vertex ids rank.  :func:`dof_values` is the one
 statement of the functionals: it defines the basis by duality, builds the
-orientation table once per ranking and interpolates on a mesh.
+orientation table from the directed reference entities and interpolates on a mesh.
 """
 
 from __future__ import annotations
@@ -187,13 +187,17 @@ def orientation_table(order: int) -> np.ndarray:
 
     ``phi_global_j = sum_m phi_local_m X[m, j]`` with ``X = inv(C)``, where ``C[i, j]`` is
     functional i, its entity's vertices in ascending id, of local basis function j.  C holds
-    edge signs and unimodular face-frame changes: integers up to round-off.
+    edge signs and unimodular face-frame changes: integers up to round-off.  One :func:`dof_values`
+    call gives the functionals of all 12 directed edges and 24 directed faces, and each ranking
+    picks its rows from them.
     """
     basis = curl_basis(order)
+    edges, faces = ([d for ent in ents for d in permutations(ent)] for ents in (LOCAL_EDGES, LOCAL_FACES))
+    C = dof_values(basis.eval_many, order, REF_VERTICES, edges, faces)      # ``order`` rows per entity
+    rows = {ent: C[order * i:order * (i + 1)] for i, ent in enumerate(edges + faces)}   # faces: none at order 1
     table = np.empty((len(RANKINGS), basis.n_dofs, basis.n_dofs))
     for r, rank in enumerate(RANKINGS):
-        edges, faces = ([sorted(e, key=rank.__getitem__) for e in ents] for ents in (LOCAL_EDGES, LOCAL_FACES))
-        C = dof_values(basis.eval_many, order, REF_VERTICES, edges, faces)
+        C = np.concatenate([rows[tuple(sorted(e, key=rank.__getitem__))] for e in LOCAL_EDGES + LOCAL_FACES])
         table[r] = np.linalg.inv(np.rint(C))
     table.flags.writeable = False
     return table

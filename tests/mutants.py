@@ -59,8 +59,9 @@ MUTANTS = [
     ("orientation table transposed", REF,
      "table[r] = np.linalg.inv(np.rint(C))", "table[r] = np.linalg.inv(np.rint(C)).T", BASIS_TESTS),
     ("face frames not oriented", REF,
-     "edges, faces = ([sorted(e, key=rank.__getitem__) for e in ents] for ents in (LOCAL_EDGES, LOCAL_FACES))",
-     "edges, faces = [sorted(e, key=rank.__getitem__) for e in LOCAL_EDGES], LOCAL_FACES", BASIS_TESTS),
+     "rows[tuple(sorted(e, key=rank.__getitem__))] for e in LOCAL_EDGES + LOCAL_FACES]",
+     "rows[tuple(sorted(e, key=rank.__getitem__))] for e in LOCAL_EDGES] + [rows[f] for f in LOCAL_FACES]",
+     BASIS_TESTS),
     ("wrong Lehmer weights", ASM,
      "sum((6, 2, 1)[a] * (ids[a] > ids[b])", "sum((6, 1, 2)[a] * (ids[a] > ids[b])", ["tests/test_assembly.py"]),
     # -- the geometry
@@ -87,8 +88,10 @@ MUTANTS = [
      "(lo, sum(cols) - lo - hi, hi)", "(lo, cols[1], hi)", ["tests/test_mesh.py"]),
     ("keys decoded in reverse", MESH,
      "np.column_stack([unique, *columns[::-1]])", "np.column_stack([unique, *columns])", ["tests/test_mesh.py"]),
-    ("exact values compared without the transpose", "src/edgefem/analysis.py",
-     ".reshape(len(a), -1, 3).transpose(0, 2, 1)", ".reshape(len(a), 3, -1)", ["tests/test_analysis.py"]),
+    ("error table with its component and point axes swapped", "src/edgefem/analysis.py",
+     'np.einsum("cd,lm->cmld"', 'np.einsum("cd,lm->cmdl"', ["tests/test_analysis.py"]),
+    ("error weights tiled instead of repeated", "src/edgefem/analysis.py",
+     "np.repeat(rule.weights, sq.shape[1]", "np.tile(rule.weights, sq.shape[1]", ["tests/test_analysis.py"]),
     ("chunk reads another chunk's Jacobians", ASM,
      "(a[chunk] for a in affine)", "(a[:chunk.stop - chunk.start] for a in affine)", ["tests/test_assembly.py"]),
     # -- the form terms
@@ -101,8 +104,11 @@ MUTANTS = [
     ("load term reads the curl push", ASM,
      'fields[kind == "curl"]', 'fields[kind != "mass"]', ["tests/test_assembly.py"]),
     ("curl coefficients pushed by J^T / det J", ASM,
-     'push = jac / det[:, None, None] if kind == "curl"',
-     'push = np.swapaxes(jac, 1, 2) / det[:, None, None] if kind == "curl"', ["tests/test_assembly.py"]),
+     "(basis.curl_coeffs, jac / det[:, None, None])", "(basis.curl_coeffs, np.swapaxes(jac, 1, 2) / det[:, None, None])",
+     ["tests/test_assembly.py"]),
+    ("curls pushed like values", ASM,
+     "(basis.curl_coeffs, jac / det[:, None, None])", "(basis.curl_coeffs, np.swapaxes(inv, 1, 2))",
+     ["tests/test_analysis.py", "tests/test_assembly.py"]),
     ("moment table without the rule weights", ASM,
      "return rule.weights[:, None] * p", "return p", ["tests/test_assembly.py"]),
     ("|det J| dropped from the moment contraction", ASM,

@@ -23,11 +23,12 @@ from edgefem.analysis import (
     shrunk_quadratic_map,
     smooth_random_field,
 )
-from edgefem.assembly import Coefficients, EdgeSpace, MatrixField, QuadratureConfig, SolutionField
+from edgefem import assembly
+from edgefem.assembly import Coefficients, EdgeSpace, MatrixField, QuadratureConfig, SolutionField, _geometries
 from edgefem.mesh import TetMesh, all_affine_data, structured_cube_mesh
 from edgefem.problems import catalog
 from edgefem.quadrature import builtin_rule, rule_for_degree, tensorized_gl
-from edgefem.reference_element import orientation_table
+from edgefem.reference_element import _mono_values, orientation_table
 
 from conftest import random_tet
 
@@ -198,6 +199,31 @@ def test_discrete_norm_matches_the_error_against_zero(rng, order):
         sol = SolutionField(space, dofs)
         want = math.sqrt(sum(_error_integrals(sol, zero, zero, rule_for_degree(2 * order + 2))))
         assert abs(discrete_hcurl_norm(sol) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_error_integrals_match_a_per_point_sum(rng, monkeypatch, order):
+    # the one-GEMM kernel against w |v - E|^2 summed point by point in the test, from the same monomial
+    # coefficients, exact values at geo.points and weights geo.weights, on a jiggled mesh of 162 elements
+    # in chunks of 23, whose last holds one, with real and complex dofs
+    base = structured_cube_mesh(3)
+    space = EdgeSpace(TetMesh(base.vertices + rng.uniform(-0.1, 0.1, base.vertices.shape), base.tets), order)
+    rule, basis = rule_for_degree(2 * order + 4), space.basis
+    monkeypatch.setattr(assembly, "_CHUNK_BUDGET", 20 * rule.npoints * 23)
+    assert [c.stop - c.start for c, _ in _geometries(rule, space.affine, 20)][-2:] == [23, 1]
+    smooth, curl = smooth_random_field(5), smooth_random_field(6)
+    cases = ((rng.standard_normal(space.n_dofs), smooth, curl),
+             ([1.0, 1j] @ rng.standard_normal((2, space.n_dofs)), lambda p: (1 - 0.5j) * smooth(p), curl))
+    for dofs, exact, exact_curl in cases:
+        sol, want = SolutionField(space, dofs), [0.0, 0.0]
+        for chunk, geo in _geometries(rule, space.affine, 20):
+            flat = geo.points.reshape(-1, 3)
+            parts = zip(sol.polynomials(chunk), (basis.value_monos, basis.curl_monos), (exact, exact_curl))
+            for i, (a, monos, fn) in enumerate(parts):
+                values = np.einsum("ecm,lm->elc", a, _mono_values(monos, rule.points))
+                want[i] += np.sum(geo.weights[:, :, None] * np.abs(values - fn(flat).reshape(values.shape)) ** 2)
+        for got, ref in zip(_error_integrals(sol, exact, exact_curl, rule), want):
+            assert abs(got - ref) <= 1e-13 * ref
 
 
 def test_consistency_error_exact_for_compliant_constant_coefficients():

@@ -346,7 +346,7 @@ def _at_points(field, kind, tets, ref_pts):
     ``ref_pts`` of the elements ``tets``, (E, L, 3), from its monomial coefficients."""
     basis = field.space.basis
     monos = basis.curl_monos if kind == "curl" else basis.value_monos
-    return np.einsum("ecm,lm->elc", field.polynomial(kind, tets), _mono_values(monos, ref_pts))
+    return np.einsum("ecm,lm->elc", field.polynomials(tets)[kind == "curl"], _mono_values(monos, ref_pts))
 
 
 def test_solution_field_eval_consistency(rng):
@@ -379,11 +379,12 @@ def test_solution_field_eval_consistency(rng):
                 assert np.abs(c - curls_vec[row, p]).max() <= 1e-14 * scale
         # a run of elements, or any list of them, reads its rows of the whole mesh's coefficients bit
         # for bit; one element alone only to round-off, as numpy takes a single row's product by gemv
-        for kind in ("mass", "curl"):
-            whole = field.polynomial(kind)
-            for chunk in (slice(5, 29), slice(17, None), tets):
-                assert np.array_equal(field.polynomial(kind, chunk), whole[chunk])
-            assert np.abs(field.polynomial(kind, [7]) - whole[[7]]).max() <= 1e-15 * np.abs(whole[7]).max()
+        wholes = field.polynomials()
+        for chunk in (slice(5, 29), slice(17, None), tets):
+            for part, whole in zip(field.polynomials(chunk), wholes):
+                assert np.array_equal(part, whole[chunk])
+        for part, whole in zip(field.polynomials([7]), wholes):
+            assert np.abs(part - whole[[7]]).max() <= 1e-15 * np.abs(whole[7]).max()
 
 
 def test_dof_vectors_of_another_length_rejected():

@@ -325,7 +325,7 @@ def kuhn_tets(n, pts):
 def kuhn_field(sol, n):
     """The values of the discrete field ``sol`` on structured_cube_mesh(n) at any points of the cube."""
     _, origin, _, inv = sol.space.affine
-    coeffs, monos = sol.polynomial("mass"), sol.space.basis.value_monos
+    coeffs, monos = sol.polynomials()[0], sol.space.basis.value_monos
 
     def field(pts):
         tet = kuhn_tets(n, pts)

@@ -187,6 +187,18 @@ def test_orientation_table_entries_are_unimodular(order):
         assert abs(np.linalg.det(X)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_orientation_table_inverts_each_rankings_functionals(order):
+    # entry r undoes the functionals of the reference entities listed in the ascending order of
+    # RANKINGS[r], each ranking's own dof_values call, exactly
+    table, basis = orientation_table(order), curl_basis(order)
+    for r, rank in enumerate(RANKINGS):
+        edges, faces = ([sorted(e, key=rank.__getitem__) for e in ents] for ents in (LOCAL_EDGES, LOCAL_FACES))
+        C = np.rint(dof_values(basis.eval_many, order, REF_VERTICES, edges, faces))
+        assert np.array_equal(C @ table[r], np.eye(basis.n_dofs))
+        assert np.array_equal(table[r], np.linalg.inv(C))
+
+
 def _pushed_values(mesh, tet, basis, phys_pts):
     _, origin, _, inv = all_affine_data(mesh)
     ref = (phys_pts - origin[tet]) @ inv[tet].T
