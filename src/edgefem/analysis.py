@@ -196,12 +196,12 @@ def interpolate(space: EdgeSpace, field) -> np.ndarray:
     return dof_values(field, space.order, space.mesh.vertices, space.mesh.edges, space.mesh.faces)
 
 
-def smooth_random_field(seed: int, n_modes: int = 4):
-    """A fixed random smooth vector field (finite low-frequency spectrum)."""
+def smooth_random_field(seed: int):
+    """A fixed random smooth vector field: a sum of 4 low-frequency sine modes."""
     rng = np.random.default_rng(seed)
-    kvecs = rng.integers(1, 3, size=(n_modes, 3)).astype(float) * (np.pi / 2.0)
-    amps = rng.standard_normal((n_modes, 3))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_modes, 3))
+    kvecs = rng.integers(1, 3, size=(4, 3)).astype(float) * (np.pi / 2.0)
+    amps = rng.standard_normal((4, 3))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(4, 3))
 
     def field(pts):
         pts = np.atleast_2d(pts)

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import QuadGeometry, TetMesh, all_affine_data
+from .mesh import QuadGeometry, TetMesh, all_affine_data, piola
 from .quadrature import RefQuadratureRule, rule_for_degree
 from .reference_element import LOCAL_EDGES, CurlBasis, _mono_values, curl_basis, orientation_table
 
@@ -207,9 +207,12 @@ class SparseSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    n_free: int
     space: EdgeSpace
     free_index: np.ndarray
+
+    @property
+    def n_free(self) -> int:
+        return len(self.free_index)
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Insert the constrained zeros back into a reduced vector."""
@@ -236,13 +239,13 @@ class SolutionField:
     def polynomials(self, tets=slice(None)):
         """The pushed values and curls on the elements ``tets``, all by default, as (E, 3, n_mono)
         coefficients of the basis's monomials in the reference coordinates, from one :meth:`local`: a
-        straight element pushes by one matrix, J^-T for values and J / det J for curls.  The one reader
-        of a discrete field: form evaluation, the discrete norm and the H(curl) error read only these."""
+        straight element pushes these columns by P^T, P its :func:`~edgefem.mesh.piola` matrix.  The one
+        reader of a discrete field: form evaluation, the discrete norm and the H(curl) error read only these."""
         jac, _, det, inv = (a[tets] for a in self.space.affine)
         basis, local = self.space.basis, self.local(tets)
-        return tuple(push @ (local @ ref.reshape(basis.n_dofs, -1)).reshape(len(push), 3, -1)   # ref (nd, 3, n)
-                     for ref, push in ((basis.value_coeffs, np.swapaxes(inv, 1, 2)),
-                                       (basis.curl_coeffs, jac / det[:, None, None])))
+        return tuple(np.swapaxes(piola(kind, jac, det, inv), 1, 2)
+                     @ (local @ ref.reshape(basis.n_dofs, -1)).reshape(len(jac), 3, -1)   # ref (nd, 3, n)
+                     for kind, ref in (("values", basis.value_coeffs), ("curl", basis.curl_coeffs)))
 
 
 # -- the form terms -------------------------------------------------------------
@@ -288,19 +291,19 @@ def _blocks(geo: QuadGeometry, kind: str, basis: CurlBasis, coeff, scale):
     w (c phi_j) . phi_i and f_i sums w c . phi_i.
 
     A geometry with one Jacobian per element, as every straight one, pushes by one matrix P, phi -> phi P
-    (J^-1 for values, J^T / det J for curls), so its blocks are one GEMM of its rows w_l (P c_l P^T)_cd
+    (:func:`~edgefem.mesh.piola`), so its blocks are one GEMM of its rows w_l (P c_l P^T)_cd
     with the rule's table phi_ic phi_jd (9L, nd^2), the same for every element (Kirby and Logg, ACM TOMS
     32, 2006), and its loads of the rows w_l (P c_l)_c with phi_ic (3L, nd).  A Jacobian per point keeps
     the per-point contraction: an einsum in its place moved the curved probe's error at s = 0.0625 by
     1.7e-10 relative, past the goldens' tolerance."""
-    tabulate, push = (basis.curl_many, geo.contravariant) if kind == "curl" else (basis.eval_many, geo.covariant)
-    ref = tabulate(geo.rule.points)                                     # (L, nd, 3)
-    (ne, npts), nd = geo.weights.shape, basis.n_dofs
+    ref = (basis.curl_many if kind == "curl" else basis.eval_many)(geo.rule.points)     # (L, nd, 3)
+    P = piola(kind, geo.jac, geo.det, geo.inv)                          # (E, 1 or L, 3, 3)
+    (ne, npts, _), nd = geo.points.shape, basis.n_dofs
     c = coeff(geo.points.reshape(-1, 3))                                # (N,), (N, 3) or (N, 3, 3)
     w = (scale * geo.weights).reshape((ne, npts) + (1,) * (c.ndim - 1))
     wc = w * c.reshape((ne, npts) + c.shape[1:])
-    if geo.jac.shape[1] == 1:
-        P = push(np.eye(3)[None, None])[:, 0]                           # (E, 3, 3)
+    if P.shape[1] == 1:
+        P = P[:, 0]                                                     # (E, 3, 3)
         if kind == "load":
             rows = _real_times(P, np.swapaxes(wc, 1, 2))                # (E, 3, L)
             return _real_times(rows.reshape(ne, -1), ref.transpose(2, 0, 1).reshape(-1, nd))
@@ -308,7 +311,7 @@ def _blocks(geo: QuadGeometry, kind: str, basis: CurlBasis, coeff, scale):
         rows = wc[..., None, None] * (P @ Pt)[:, None] if wc.ndim == 2 else P[:, None] @ wc @ Pt[:, None]
         table = np.einsum("lic,ljd->lcdij", ref, ref).reshape(-1, nd * nd)
         return _real_times(rows.reshape(ne, -1), table).reshape(ne, nd, nd)
-    phys = push(ref[None])                                              # (E, L, nd, 3)
+    phys = ref[None] @ P                                                # (E, L, nd, 3)
     rows = phys.transpose(0, 2, 1, 3).reshape(ne, nd, 3 * npts)
     if kind == "load":
         return _real_times(rows, wc.reshape(ne, 3 * npts, 1))[:, :, 0]
@@ -328,8 +331,7 @@ def _term_blocks(mesh, basis, rule, jac, origin, det, inv, kind, coeff_field, sc
     else:
         out = into.astype(np.result_type(dtype, into), copy=False)
     # per point: the row of 9 values, the point, its weight, and a scalar coefficient with its two
-    # weighted copies; per element: the block, the 12 values of origin and J and three 3x3 matrices
-    # (the push's factor, P and P P^T)
+    # weighted copies; per element: the block, origin and J (12), P and P P^T (18) and 9 to spare
     for chunk, geo in _geometries(rule, (jac, origin, det, inv), 16, basis.n_dofs ** 2 + 39):
         if into is None:
             out[chunk] = _blocks(geo, kind, basis, coeff_field, scale)
@@ -384,7 +386,7 @@ def assemble(mesh: TetMesh, order: int, coeffs: Coefficients, config: Quadrature
     rows = sp.csr_matrix((data, indices, indptr), shape=(len(free), n))
     del data, indices
     rows.sum_duplicates()
-    return SparseSystem(matrix=rows[:, free], rhs=rhs[free], n_free=len(free), space=space, free_index=free)
+    return SparseSystem(matrix=rows[:, free], rhs=rhs[free], space=space, free_index=free)
 
 
 def _moment_table(rule, basis, kind):

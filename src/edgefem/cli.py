@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import types
@@ -96,6 +97,8 @@ class ExperimentConfig:
         _check_mesh_ns(self.mesh_ns, rate=False)
         if self.fit_window != 0 and self.fit_window < 3:
             raise ValueError(f"fit_window must be 0 (all meshes) or at least 3, got {self.fit_window}")
+        if not self.slope_tol >= 0:
+            raise ValueError(f"slope_tol must be at least 0, got {self.slope_tol}")
         self.entry, self.rules = _resolve(self.problem, self.q1, self.q2, self.q3)
         self.label = self.label or f"{self.problem.replace('(', '_').rstrip(')')}_k{self.order}"
         _check_label(self.label)
@@ -167,14 +170,15 @@ _PROBES = {"consistency": ConsistencyProbe, "curved": CurvedProbe}
 
 
 def _has_type(value, tp) -> bool:
-    """Whether a JSON value has the declared type; a bool is no int, an int is a float."""
+    """Whether a JSON value has the declared type; a bool is no int, an int is a float, NaN and Infinity no float."""
     if isinstance(tp, types.UnionType):
         return any(_has_type(value, t) for t in typing.get_args(tp))
     if typing.get_origin(tp) is list:
         return isinstance(value, list) and all(_has_type(v, typing.get_args(tp)[0]) for v in value)
     if isinstance(value, bool):
         return tp is bool
-    return isinstance(value, (int, float) if tp is float else tp)
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return finite and isinstance(value, (int, float) if tp is float else tp)
 
 
 def load_config(command: str, path):

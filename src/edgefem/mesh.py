@@ -21,6 +21,7 @@ __all__ = [
     "TetMesh",
     "CurvedMap",
     "QuadGeometry",
+    "piola",
     "structured_cube_mesh",
 ]
 
@@ -224,23 +225,31 @@ def all_affine_data(mesh: TetMesh):
     return np.swapaxes(d, 1, 2), v[:, 0], det, cof / det[:, None, None]
 
 
+def piola(kind, jac, det, inv):
+    """The one statement of the Piola maps: the matrix P of the push x -> x P of reference rows x, J^-1
+    for values and J^T / det J for curls (``kind == "curl"``), from the (E, 3, 3) arrays of
+    :func:`all_affine_data` or a :class:`QuadGeometry`'s (E, 1 or L, 3, 3) ones."""
+    return np.swapaxes(jac, -1, -2) / det[..., None, None] if kind == "curl" else inv
+
+
 @dataclass(frozen=True)
 class QuadGeometry:
-    """A reference rule mapped to a batch of E elements, and the one place
-    that pushes reference shape data to physical elements.
+    """A reference rule mapped to a batch of E elements.
 
-    ``points`` (E, L, 3) and ``weights`` (E, L) = |det J| w are the physical
-    rule.  ``jac``, ``inv`` and ``det`` have a point axis of length 1 on
-    straight elements (one Jacobian per element, broadcast over the points)
-    and of length L on curved ones (one Jacobian per rule point).
+    ``points`` (E, L, 3) and ``weights`` (E, L) = |det J| w, formed when read, are the physical rule.
+    ``jac``, ``inv`` and ``det`` have a point axis of length 1 on straight elements (one Jacobian per
+    element, broadcast over the points) and of length L on curved ones (one Jacobian per rule point).
     """
 
     rule: RefQuadratureRule
     points: np.ndarray
-    weights: np.ndarray
     jac: np.ndarray       # (E, 1 or L, 3, 3)
     inv: np.ndarray       # (E, 1 or L, 3, 3)
     det: np.ndarray       # (E, 1 or L)
+
+    @property
+    def weights(self):
+        return np.abs(self.det) * self.rule.weights
 
     @classmethod
     def affine(cls, rule: RefQuadratureRule, jac, origin, det, inv) -> "QuadGeometry":
@@ -253,8 +262,7 @@ class QuadGeometry:
         table = np.einsum("ij,lk->iklj", np.eye(3), homogeneous).reshape(12, -1)
         rows = np.concatenate([origin[:, :, None], jac], axis=2).reshape(len(jac), 12)
         points = (rows @ table).reshape(len(jac), rule.npoints, 3)
-        weights = np.abs(det)[:, None] * rule.weights[None, :]
-        return cls(rule, points, weights, jac[:, None], inv[:, None], det[:, None])
+        return cls(rule, points, jac[:, None], inv[:, None], det[:, None])
 
     @classmethod
     def curved(cls, rule: RefQuadratureRule, cmap: CurvedMap) -> "QuadGeometry":
@@ -263,23 +271,7 @@ class QuadGeometry:
         det = np.linalg.det(jac)
         if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
             raise ValueError("curved map has non-positive Jacobian determinant at a rule point")
-        return cls(rule, cmap.apply(rule.points)[None], (det * rule.weights)[None],
-                   jac[None], np.linalg.inv(jac)[None], det[None])
-
-    def covariant(self, x):
-        """Push reference values x, any (E or 1, L, ..., 3) array: x J^-1."""
-        return self._times(x, self.inv)
-
-    def contravariant(self, x):
-        """Push reference curls x, any (E or 1, L, ..., 3) array: x J^T / det J."""
-        return self._times(x, np.swapaxes(self.jac, 2, 3) / self.det[:, :, None, None])
-
-    @staticmethod
-    def _times(x, mats):
-        """x times mats (E, 1 or L, 3, 3): one product per element on straight
-        elements, one per point on curved ones."""
-        out = x.reshape(x.shape[0], mats.shape[1], -1, 3) @ mats.astype(x.dtype, copy=False)
-        return out.reshape(out.shape[:1] + x.shape[1:])
+        return cls(rule, cmap.apply(rule.points)[None], jac[None], np.linalg.inv(jac)[None], det[None])
 
 
 def structured_cube_mesh(n: int) -> TetMesh:

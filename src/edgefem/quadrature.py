@@ -385,8 +385,8 @@ def parse_rule_dump(text: str):
     """Rules of a dump, as :func:`dump_rule` writes them: a line ``label degree npoints``, then
     ``npoints`` lines ``x y z w``.  Returns (label, degree, points, weights) per rule.
 
-    Raises ValueError naming the line of a malformed header or point row, of a degree below 0,
-    or of a rule whose points the file ends before.
+    Raises ValueError naming the line of a malformed header or point row, of a degree outside 0..42 (42,
+    the highest any rule built here certifies), or of a rule whose points the file ends before.
     """
     lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     rules = []
@@ -394,8 +394,9 @@ def parse_rule_dump(text: str):
     while pos < len(lines):
         no, parts = lines[pos]
         label, degree, npts = _dump_fields(no, parts, (str, int, int), "label degree npoints")
-        if degree < 0:
-            raise ValueError(f"rules file line {no}: rule {label!r} declares degree {degree}, below 0")
+        if not 0 <= degree <= 2 * GAUSS_MAX_N + 2:
+            bound = "below 0" if degree < 0 else f"above {2 * GAUSS_MAX_N + 2}"
+            raise ValueError(f"rules file line {no}: rule {label!r} declares degree {degree}, {bound}")
         rows = lines[pos + 1: pos + 1 + npts]
         if npts < 1 or len(rows) < npts:
             raise ValueError(f"rules file line {no}: rule {label!r} has {npts} points, {len(rows)} follow")

@@ -41,6 +41,8 @@ BASIS_TESTS = ["tests/test_reference_element.py", "tests/test_assembly.py"]
 
 MUTANTS = [
     # -- the quadrature rules
+    ("rules file accepts degree 43", QUAD,
+     "if not 0 <= degree <= 2 * GAUSS_MAX_N + 2:", "if not 0 <= degree <= 2 * GAUSS_MAX_N + 3:", ["tests/test_cli.py", "-k", "degree-43"]),
     ("declared degree off by one", QUAD,
      '"pt15": (_pt15_table, 5)', '"pt15": (_pt15_table, 4)', ["tests/test_quadrature.py"]),
     ("collapsed Jacobian exponent off by one", QUAD,
@@ -66,19 +68,21 @@ MUTANTS = [
      "sum((6, 2, 1)[a] * (ids[a] > ids[b])", "sum((6, 1, 2)[a] * (ids[a] > ids[b])", ["tests/test_assembly.py"]),
     # -- the geometry
     ("contravariant push without 1/det J", MESH,
-     "np.swapaxes(self.jac, 2, 3) / self.det[:, :, None, None]", "np.swapaxes(self.jac, 2, 3)",
-     ["tests/test_mesh.py"]),
+     "np.swapaxes(jac, -1, -2) / det[..., None, None] if", "np.swapaxes(jac, -1, -2) if", ["tests/test_mesh.py"]),
     ("covariant push by J^-T", MESH,
-     "return self._times(x, self.inv)", "return self._times(x, np.swapaxes(self.inv, 2, 3))",
+     "else inv", "else np.swapaxes(inv, -1, -2)",
      ["tests/test_invariance.py", "-k", "similarity"]),
+    ("curls pushed like values", MESH,
+     'if kind == "curl"', 'if kind == "curls"', ["tests/test_analysis.py", "tests/test_assembly.py"]),
     ("curved J^-1 transposed", MESH,
      "jac[None], np.linalg.inv(jac)[None], det[None]", "jac[None], np.linalg.inv(jac).swapaxes(1, 2)[None], det[None]",
      ["tests/test_quadrature.py", "tests/test_assembly.py", "-k", "curved"]),
     ("curved J from the untranslated control net", MESH,
      'np.einsum("nkq,kp->npq", g, cp - cp[0])', 'np.einsum("nkq,kp->npq", g, cp)',
      ["tests/test_invariance.py", "-k", "curved"]),
-    ("curved weight without det J", MESH,
-     "(det * rule.weights)[None]", "rule.weights[None]", ["tests/test_assembly.py", "tests/test_analysis.py"]),
+    ("weight without det J", MESH,
+     "np.abs(self.det) * self.rule.weights", "np.abs(self.det) ** 0 * self.rule.weights",
+     ["tests/test_assembly.py", "tests/test_analysis.py"]),
     ("cofactor rows out of order", MESH,
      "_cross(d[:, [1, 2, 0]], d[:, [2, 0, 1]])", "_cross(d[:, [1, 0, 2]], d[:, [2, 1, 0]])", ["tests/test_mesh.py"]),
     ("diameter over 5 edges", MESH,
@@ -103,12 +107,8 @@ MUTANTS = [
      "coeffs.eps, -coeffs.omega ** 2)", "coeffs.eps, coeffs.omega ** 2)", ["tests/test_assembly.py"]),
     ("load term reads the curl push", ASM,
      'fields[kind == "curl"]', 'fields[kind != "mass"]', ["tests/test_assembly.py"]),
-    ("curl coefficients pushed by J^T / det J", ASM,
-     "(basis.curl_coeffs, jac / det[:, None, None])", "(basis.curl_coeffs, np.swapaxes(jac, 1, 2) / det[:, None, None])",
-     ["tests/test_assembly.py"]),
-    ("curls pushed like values", ASM,
-     "(basis.curl_coeffs, jac / det[:, None, None])", "(basis.curl_coeffs, np.swapaxes(inv, 1, 2))",
-     ["tests/test_analysis.py", "tests/test_assembly.py"]),
+    ("monomial coefficients pushed by P instead of P^T", ASM,
+     "np.swapaxes(piola(kind, jac, det, inv), 1, 2)", "piola(kind, jac, det, inv)", ["tests/test_assembly.py"]),
     ("moment table without the rule weights", ASM,
      "return rule.weights[:, None] * p", "return p", ["tests/test_assembly.py"]),
     ("|det J| dropped from the moment contraction", ASM,
@@ -188,6 +188,11 @@ MUTANTS = [
     ("dof vectors one short accepted", ASM,
      "if len(self.dofs) != self.space.n_dofs:", "if len(self.dofs) > self.space.n_dofs:",
      ["tests/test_assembly.py", "-k", "another_length"]),
+    ("config accepts a non-finite float", "src/edgefem/cli.py",
+     "finite = not isinstance(value, float) or math.isfinite(value)", "finite = True",
+     ["tests/test_cli.py", "-k", "expect_slope-nan or expect_min_slope-infinity"]),
+    ("slope_tol accepts a negative value", "src/edgefem/cli.py",
+     "if not self.slope_tol >= 0:", "if self.slope_tol < -1:", ["tests/test_cli.py", "-k", "slope_tol-negative"]),
     ("mesh_ns accepts n < 1", "src/edgefem/analysis.py",
      "zip([0, *mesh_ns], mesh_ns)", "zip(mesh_ns, mesh_ns[1:])", ["tests/test_cli.py"]),
 ]

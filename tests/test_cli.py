@@ -88,7 +88,7 @@ print(sorted(name for name in ("scipy.special", "scipy.linalg") if name in sys.m
 @pytest.mark.parametrize("problem", ["cube_poly", "cube_oscillatory(10)", "cube_oscillatory(20)"])
 def test_catalog_residual_self_check(problem):
     entry = catalog(problem)
-    assert residual_check(entry, n_points=50) <= 1e-10
+    assert residual_check(entry) <= 1e-10
 
 
 def test_catalog_unknown_problem():
@@ -241,7 +241,8 @@ def test_main_quadcheck_exit_code(tmp_path, capsys):
     ("r -1 1\n0.25 0.25 0.25 0.16666666666666666\n", "line 1: rule 'r' declares degree -1, below 0"),
     ("pt4 2 1\n0.25 0.25 0.25 0.16666666666666666\n\nr -5 1\n0.25 0.25 0.25 0.16666666666666666\n",
      "line 4: rule 'r' declares degree -5, below 0"),
-], ids=["header", "point-row", "cut-short", "no-points", "degree-minus-1", "degree-minus-5"])
+    ("r 43 1\n0.25 0.25 0.25 0.16666666666666666\n", "line 1: rule 'r' declares degree 43, above 42"),
+], ids=["header", "point-row", "cut-short", "no-points", "degree-minus-1", "degree-minus-5", "degree-43"])
 def test_main_quadcheck_malformed_rules_file(tmp_path, capsys, text, named):
     rules = tmp_path / "rules.txt"
     rules.write_text(text)
@@ -374,6 +375,10 @@ def test_convergence_fit_window_checked_at_load(tmp_path, capsys, monkeypatch):
      "q1 rule 'tensorized:21': tensor_gl21: n must be 1..20"),
     ("convergence", {"problem": "cube_poly", "q2": 40}, "q2 rule 40: degree 40 is above 39"),
     ("probe", {"kind": "consistency", "m": -3}, "q2 rule -3: degree must be >= 0"),
+    ("convergence", {"problem": "cube_poly", "mesh_ns": [1, 2, 3], "expect_slope": float("nan")},
+     "expect_slope must be float | None, got nan"),
+    ("probe", {"kind": "curved", "expect_min_slope": float("inf")}, "expect_min_slope must be float | None, got inf"),
+    ("convergence", {"problem": "cube_poly", "mesh_ns": [1, 2, 3], "slope_tol": -1}, "slope_tol must be at least 0, got -1"),
 ], ids=["convergence-rule", "convergence-problem", "consistency-rule", "consistency-problem",
         "consistency-order", "curved-mode", "curved-degree-below-zero", "fit_window-string",
         "consistency-m-string", "mesh_ns-element-string", "curved-below-string", "curved-order-bool",
@@ -381,7 +386,8 @@ def test_convergence_fit_window_checked_at_load(tmp_path, capsys, monkeypatch):
         "consistency-mesh_ns-zero", "consistency-mesh_ns-repeated", "convergence-mesh_ns-zero",
         "preasymptotic-mesh_ns-zero", "convergence-degree-spelling", "convergence-rule-degree-below-zero",
         "convergence-tensorized-not-int", "convergence-degree-negative", "convergence-tensorized-past-table",
-        "convergence-degree-past-table", "consistency-m-negative"])
+        "convergence-degree-past-table", "consistency-m-negative", "expect_slope-nan", "expect_min_slope-infinity",
+        "slope_tol-negative"])
 def test_main_rejects_bad_values_at_load(tmp_path, capsys, command, config, named):
     # exit 1 with a message naming the value, not a traceback after some levels
     path = tmp_path / "c.json"

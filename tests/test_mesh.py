@@ -12,6 +12,7 @@ from edgefem.mesh import (
     _diameters_and_volumes,
     _row_keys,
     all_affine_data,
+    piola,
     structured_cube_mesh,
 )
 from edgefem.quadrature import builtin_rule
@@ -189,19 +190,49 @@ def _pointwise_times(x, mats):
     return out
 
 
+def _branch_geometry(branch, rule):
+    """``rule`` on the six straight elements of a cube, or on one curved element."""
+    if branch == "straight":
+        return tet_geometry(structured_cube_mesh(1), np.arange(6), rule)
+    return QuadGeometry.curved(rule, shrunk_quadratic_map(0.5))
+
+
 @pytest.mark.parametrize("branch", ["straight", "curved"])
 def test_pushes_match_per_point_loop(rng, branch):
+    # x P with P = piola(...), for real and complex x, one or E leading rows
     rule = builtin_rule("pt5")
-    if branch == "straight":
-        geo = tet_geometry(structured_cube_mesh(1), np.arange(6), rule)
-    else:
-        geo = QuadGeometry.curved(rule, shrunk_quadratic_map(0.5))
+    geo = _branch_geometry(branch, rule)
     det = geo.det[:, :, None, None]
-    for lead in (1, len(geo.det)):
-        x = rng.standard_normal((lead, rule.npoints, 4, 3)) + 1j * rng.standard_normal((lead, rule.npoints, 4, 3))
-        for pushed, expected in ((geo.covariant(x), _pointwise_times(x, geo.inv)),
-                                 (geo.contravariant(x), _pointwise_times(x, np.swapaxes(geo.jac, 2, 3)) / det)):
+    for lead, imag in ((1, 0.0), (1, 1.0), (len(geo.det), 0.0), (len(geo.det), 1.0)):
+        x = rng.standard_normal((lead, rule.npoints, 4, 3))
+        if imag:
+            x = x + 1j * rng.standard_normal(x.shape)
+        for kind, expected in (("mass", _pointwise_times(x, geo.inv)),
+                               ("curl", _pointwise_times(x, np.swapaxes(geo.jac, 2, 3)) / det)):
+            pushed = x @ piola(kind, geo.jac, geo.det, geo.inv)
+            assert pushed.dtype == expected.dtype
             assert np.abs(pushed - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_piola_of_element_data_is_the_straight_geometrys():
+    # the (E, 3, 3) arrays of all_affine_data and a geometry's (E, 1, 3, 3) give the same matrices
+    mesh = structured_cube_mesh(1)
+    jac, _, det, inv = all_affine_data(mesh)
+    geo = tet_geometry(mesh, np.arange(6), builtin_rule("pt5"))
+    for kind in ("mass", "curl"):
+        assert np.array_equal(piola(kind, jac, det, inv), piola(kind, geo.jac, geo.det, geo.inv)[:, 0])
+
+
+@pytest.mark.parametrize("branch", ["straight", "curved"])
+def test_weights_are_abs_det_times_the_rule_weights(branch):
+    rule = builtin_rule("pt15")
+    geo = _branch_geometry(branch, rule)
+    if branch == "straight":
+        det = all_affine_data(structured_cube_mesh(1))[2][:, None]
+    else:
+        det = shrunk_quadratic_map(0.5).det_at(rule.points)[None]
+    assert geo.weights.shape == geo.points.shape[:2]
+    assert np.array_equal(geo.weights, np.abs(det) * rule.weights)
 
 
 def test_element_map_reference_tet():

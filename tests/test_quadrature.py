@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from edgefem.mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data
+from edgefem.mesh import CurvedMap, QuadGeometry, TetMesh, all_affine_data, piola
 from edgefem.quadrature import (
     BUILTIN_LABELS,
     GAUSS_MAX_N,
@@ -17,6 +17,7 @@ from edgefem.quadrature import (
     dump_rule,
     exact_monomial_integral,
     monomials_of_degree,
+    parse_rule_dump,
     rule_for_degree,
     tensorized_gl,
     verify_exactness,
@@ -265,8 +266,9 @@ def test_map_curved_matches_affine_for_straight_elements(rng):
     assert np.abs(geo_c.weights - geo_a.weights).max() <= 1e-13
     basis = curl_basis(2)
     vals, curls = basis.eval_many(rule.points)[None], basis.curl_many(rule.points)[None]
-    assert np.abs(geo_c.covariant(vals) - geo_a.covariant(vals)).max() <= 1e-12
-    assert np.abs(geo_c.contravariant(curls) - geo_a.contravariant(curls)).max() <= 1e-12
+    for kind, x in (("mass", vals), ("curl", curls)):
+        pushed_c, pushed_a = (x @ piola(kind, geo.jac, geo.det, geo.inv) for geo in (geo_c, geo_a))
+        assert np.abs(pushed_c - pushed_a).max() <= 1e-12
 
 
 def test_map_curved_centroid_weight_is_pointwise_det():
@@ -311,6 +313,14 @@ def test_dump_rule_format():
     x, y, z, w = (float(t) for t in lines[1].split())
     assert (x, y, z) == (0.25, 0.25, 0.25)
     assert w == pytest.approx(-0.8 / 6.0)
+
+
+def test_dump_of_the_highest_certified_rule_round_trips():
+    # tensorized_gl(GAUSS_MAX_N) certifies the highest degree, 42, of any rule the package builds
+    rule = tensorized_gl(20)
+    [(label, degree, points, weights)] = parse_rule_dump(dump_rule(rule))
+    assert (label, degree) == (rule.label, rule.exactness_degree) == ("tensor_gl20", 42)
+    assert np.array_equal(points, rule.points) and np.array_equal(weights, rule.weights)
 
 
 def test_rules_are_immutable():

@@ -29,7 +29,6 @@ def synthetic_system(A, b):
         base,
         matrix=sp.csr_matrix(A),
         rhs=np.asarray(b, dtype=complex),
-        n_free=n,
         free_index=np.arange(n),
     )
 
@@ -139,7 +138,7 @@ def test_dense_singular_and_size_limit(rng):
     sys_ = synthetic_system(A, np.ones(3))
     with pytest.raises(np.linalg.LinAlgError):
         solve_dense(sys_)
-    big = dataclasses.replace(cube_system(1), n_free=DENSE_LIMIT + 1)
+    big = dataclasses.replace(cube_system(1), free_index=np.arange(DENSE_LIMIT + 1))
     with pytest.raises(ValueError):
         solve_dense(big)
 
