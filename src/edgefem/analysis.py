@@ -257,6 +257,9 @@ def consistency_probe(order: int, mesh_ns, coeffs: Coefficients, config: Quadrat
 # mid-edge bumps of the shrunk family: local edge -> offset, scaled by s^2
 _BUMPS = {0: np.array([0.0, 0.12, 0.10]), 5: np.array([0.14, 0.0, -0.08])}
 
+# the shrink factors s of the curved probe's sweep
+CURVED_SVALS = (0.5, 0.25, 0.125, 0.0625)
+
 # the curved probe's modes and the form terms they measure
 _CURVED_KINDS = {"mass": "mass", "curlcurl": "curl", "load": "load"}
 
@@ -340,8 +343,7 @@ def curved_probe_degree(mode: str, order: int, m: int, below: bool = False) -> i
     return degree
 
 
-def curved_probe(mode: str, order: int, m: int, below: bool = False,
-                 svals=(0.5, 0.25, 0.125, 0.0625)):
+def curved_probe(mode: str, order: int, m: int, below: bool = False):
     """Shrinking-family sweep of the curved local quadrature error.
 
     Returns (rows, fit): rows are (s, error); the fit is the log-log slope of
@@ -351,8 +353,5 @@ def curved_probe(mode: str, order: int, m: int, below: bool = False,
     degree = curved_probe_degree(mode, order, m, below)
     rule = builtin_rule("pt1_offcenter") if degree == 0 else rule_for_degree(degree)
     coeff = probe_vector_field if mode == "load" else probe_matrix_field
-    rows = []
-    for s in svals:
-        err = curved_local_error(shrunk_quadratic_map(s), coeff, rule, order, mode)
-        rows.append((s, err))
-    return rows, _probe_fit([f"s={s}" for s in svals], svals, [e for _, e in rows])
+    rows = [(s, curved_local_error(shrunk_quadratic_map(s), coeff, rule, order, mode)) for s in CURVED_SVALS]
+    return rows, _probe_fit([f"s={s}" for s in CURVED_SVALS], CURVED_SVALS, [e for _, e in rows])

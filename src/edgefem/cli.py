@@ -191,6 +191,8 @@ def load_config(command: str, path):
     cls = _lookup(_PROBES.__getitem__, "probe kind", data.pop("kind", "consistency")) \
         if command == "probe" else ExperimentConfig
     unknown = set(data) - {f.name for f in fields(cls) if f.init}
+    if command == "preasymptotic":      # it fits no slope and has no gate
+        unknown |= set(data) & {"fit_window", "expect_slope", "slope_tol"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, tp in typing.get_type_hints(cls).items():
@@ -242,8 +244,9 @@ def _sweep(config: ExperimentConfig, out_dir):
         except SolverBreakdown as exc:
             why = f"broke down at n={n} (iteration {exc.iteration}, curvature {exc.curvature:.3e})"
         if why:
-            _emit_records(records, config, out_dir, [f"ABORTED: solver {why}"])
-            raise RuntimeError(f"solver {why}")
+            line = f"ABORTED: solver {why}"
+            _emit_records(records, config, out_dir, [line])
+            raise RuntimeError(line)
         records.append(hcurl_error(fld, (entry.exact, entry.exact_curl), 2 * config.order + 6,
                                    n=n, dofs=system.n_free, iterations=report.iterations))
         del mesh, system, fld          # free this level's space before the next one is built
@@ -333,48 +336,31 @@ def main(argv=None) -> int:
             p.add_argument("--assert", dest="check", action="store_true",
                            help="exit 2 when the configured expectation is violated")
     args = parser.parse_args(argv)
-
-    if args.command == "quad-check":
-        try:
-            report = run_quadcheck(args.out, custom_rules_path=args.config)
-        except (OSError, ValueError) as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        except RuntimeError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        print(report, end="")
-        return 0
-
-    if args.config is None:
-        print("--config is required for this command", file=sys.stderr)
-        return 1
     try:
+        if args.command == "quad-check":
+            print(run_quadcheck(args.out, custom_rules_path=args.config), end="")
+            return 0
+        if args.config is None:
+            raise ValueError("--config is required for this command")
         config = load_config(args.command, args.config)
-    except (OSError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 1
-
-    if args.command == "probe":
-        try:
-            _, fit = config.run(args.out)
-        except ValueError as exc:     # a zero gap among positive ones: no rate to fit
-            print(exc, file=sys.stderr)
-            return 1
-        # an exact probe (no fit) meets any minimum slope
-        failed = fit is not None and config.expect_min_slope is not None and fit.slope < config.expect_min_slope
-        return 2 if args.check and failed else 0
-    try:
         if args.command == "preasymptotic":
             _, exit_idx = run_preasymptotic(config, args.out)
             print(f"plateau exit index: {exit_idx}")
             return 0
-        _, fit = run_convergence(config, args.out)
-    except RuntimeError as exc:       # a sweep aborted by the solver; its records so far are written
-        print(f"ABORTED: {exc}", file=sys.stderr)
+        if args.command == "probe":
+            _, fit = config.run(args.out)
+            # an exact probe (no fit) meets any minimum slope
+            failed = fit is not None and config.expect_min_slope is not None and fit.slope < config.expect_min_slope
+        else:
+            _, fit = run_convergence(config, args.out)
+            print(f"slope vs dofs: {fit.slope:.6f}")
+            failed = config.expect_slope is not None and abs(fit.slope - config.expect_slope) > config.slope_tol
+    except (OSError, ValueError) as exc:
+        print(exc, file=sys.stderr)
         return 1
-    print(f"slope vs dofs: {fit.slope:.6f}")
-    failed = config.expect_slope is not None and abs(fit.slope - config.expect_slope) > config.slope_tol
+    except RuntimeError as exc:       # a rule that failed certification, or a sweep the solver ended
+        print(exc, file=sys.stderr)
+        return 2 if args.command == "quad-check" else 1
     return 2 if args.check and failed else 0
 
 

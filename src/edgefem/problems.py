@@ -10,7 +10,8 @@ real symmetric positive definite.  A residual self-check at random points
 guards the hand expansion.
 
 Catalog ids:  ``cube_poly``  (constant eps0 = -10) and
-``cube_oscillatory(m)``  (eps0 = -10 - 9 sin(m pi x3), m in {10, 20}).
+``cube_oscillatory(m)``  (eps0 = -10 - 9 sin(m pi x3), integer m >= 0; the
+shipped configs use m = 1 and 10).
 """
 
 from __future__ import annotations

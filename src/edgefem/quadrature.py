@@ -143,33 +143,31 @@ def _powers(points, d):
     return powers
 
 
+def _worst_by_degree(points, weights, d):
+    """(worst monomial, its error) of the rule on each total degree 0..d; a NaN error is the worst."""
+    powers = _powers(points, d)
+    for deg in range(d + 1):
+        abc, err = _degree_errors(powers, weights, deg)
+        i = int(np.argmax(err))
+        yield tuple(abc[i].tolist()), float(err[i])
+
+
 def verify_exactness(rule: RefQuadratureRule, d: int) -> VerifyReport:
     """Check all monomials of total degree <= d against the closed form.
 
     Returns a report carrying the worst offending monomial (by relative
     error against max(1, |exact|)).
     """
-    powers = _powers(rule.points, d)
-    worst_err = 0.0
-    worst = (0, 0, 0)
-    for deg in range(d + 1):
-        abc, err = _degree_errors(powers, rule.weights, deg)
-        i = int(np.argmax(err))
-        if err[i] > worst_err:
-            worst_err = float(err[i])
-            worst = tuple(abc[i].tolist())
+    worst, worst_err = max(_worst_by_degree(rule.points, rule.weights, d), key=lambda w: w[1])
     return VerifyReport(ok=worst_err <= CERTIFY_RTOL, worst_monomial=worst, worst_error=worst_err)
 
 
-def _certify(points, weights, max_degree: int = 40) -> int:
+def _certify(points, weights, max_degree: int) -> int:
     """Largest degree at which every monomial passes; -1 if constants fail."""
-    powers = _powers(points, max_degree)
-    degree = -1
-    for d in range(max_degree + 1):
-        if not np.all(_degree_errors(powers, weights, d)[1] <= CERTIFY_RTOL):
-            break
-        degree = d
-    return degree
+    for d, (_, err) in enumerate(_worst_by_degree(points, weights, max_degree)):
+        if not err <= CERTIFY_RTOL:
+            return d - 1
+    return max_degree
 
 
 # ----------------------------------------------------------------------------

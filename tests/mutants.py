@@ -161,6 +161,11 @@ MUTANTS = [
      "_SPACES = weakref.WeakValueDictionary()", "_SPACES = {}", ["tests/test_assembly.py", "-k", "space"]),
     ("sweep keeps the previous level", "src/edgefem/cli.py",
      "        del mesh, system, fld", "        pass", ["tests/test_cli.py", "-k", "sweep_frees"]),
+    # -- the exit codes
+    ("quad-check certification failure exits 1", "src/edgefem/cli.py",
+     'return 2 if args.command == "quad-check" else 1', "return 1", ["tests/test_cli.py", "-k", "quadcheck"]),
+    ("sweep abort printed without ABORTED", "src/edgefem/cli.py",
+     "raise RuntimeError(line)", "raise RuntimeError(why)", ["tests/test_cli.py", "-k", "ends_the_sweep"]),
     # -- input checks
     ("mesh accepts a NaN vertex", MESH,
      "~np.isfinite(verts).all(axis=1)", "np.isinf(verts).any(axis=1)", ["tests/test_mesh.py", "-k", "finite_vertex"]),
@@ -191,6 +196,9 @@ MUTANTS = [
     ("config accepts a non-finite float", "src/edgefem/cli.py",
      "finite = not isinstance(value, float) or math.isfinite(value)", "finite = True",
      ["tests/test_cli.py", "-k", "expect_slope-nan or expect_min_slope-infinity"]),
+    ("preasymptotic accepts expect_slope", "src/edgefem/cli.py",
+     '{"fit_window", "expect_slope", "slope_tol"}', '{"fit_window", "slope_tol"}',
+     ["tests/test_cli.py", "-k", "unknown_keys"]),
     ("slope_tol accepts a negative value", "src/edgefem/cli.py",
      "if not self.slope_tol >= 0:", "if self.slope_tol < -1:", ["tests/test_cli.py", "-k", "slope_tol-negative"]),
     ("mesh_ns accepts n < 1", "src/edgefem/analysis.py",

@@ -231,6 +231,22 @@ def test_main_quadcheck_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing_rules.txt"
     assert main(["quad-check", "--config", str(missing), "--out", str(tmp_path)]) == 1
     assert str(missing) in capsys.readouterr().err
+    # a rule short of its declared degree fails certification: a failed check, not an error
+    rules = tmp_path / "rules.txt"
+    rules.write_text(dump_rule(builtin_rule("pt4")).replace("pt4 2 ", "pt4 3 ", 1))
+    assert main(["quad-check", "--config", str(rules), "--out", str(tmp_path)]) == 2
+    assert "pt4 (custom): degree 3 pass=False" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [("convergence", {"problem": "cube_poly", "mesh_ns": [1, 2, 3]}),
+                                             ("probe", {"kind": "curved"})])
+def test_main_out_under_a_file_exits_1_with_one_line(tmp_path, capsys, command, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    (tmp_path / "notadir").write_text("")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "notadir" / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Not a directory" in err
 
 
 @pytest.mark.parametrize("text, named", [
@@ -292,6 +308,10 @@ def test_main_rejects_unknown_keys(tmp_path, capsys):
         path.write_text(json.dumps(config))
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
         assert f"unknown config keys: {list(config.keys() - {'kind'})}" in capsys.readouterr().err
+    # only convergence fits a slope and has a gate
+    path.write_text(json.dumps({"problem": "cube_poly", "expect_slope": -9.0, "slope_tol": 0, "fit_window": 3}))
+    assert main(["preasymptotic", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "unknown config keys: ['expect_slope', 'fit_window', 'slope_tol']" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.dat"))
 
 
@@ -445,6 +465,7 @@ def test_solver_breakdown_ends_the_sweep_cleanly(tmp_path, capsys, command):
     assert (tmp_path / "out" / "bd.csv").read_text() == "n,h,dofs,l2_error,curl_error,hcurl_error,iters\n"
     summary = (tmp_path / "out" / "bd_summary.txt").read_text()
     assert summary.startswith("ABORTED: solver broke down at n=2 (iteration ") and summary.count("\n") == 1
+    assert err == summary
 
 
 @pytest.mark.parametrize("command", ["convergence", "preasymptotic"])
@@ -465,3 +486,4 @@ def test_non_convergence_ends_the_sweep_cleanly(tmp_path, capsys, monkeypatch, c
     assert len((tmp_path / "out" / "nc.csv").read_text().splitlines()) == 2     # header and n=1
     summary = (tmp_path / "out" / "nc_summary.txt").read_text()
     assert summary.startswith("ABORTED: solver did not converge at n=2 (residual ")
+    assert err == summary
